@@ -165,8 +165,8 @@ def approximate(U, start, image_basis: ImageBasis,
 def derive_seed(rng_seed: int, index: int) -> int:
     """Per-run seed, stable across platforms and processes.
 
-    Serial and parallel multi-start schedules draw identical matrices
-    because run i depends only on (rng_seed, i).
+    Start i of a multi-start run draws the same matrix however many starts
+    there are, because it depends only on (rng_seed, i).
     """
     ss = np.random.SeedSequence(entropy=int(rng_seed) & _MASK64,
                                 spawn_key=(int(index),))

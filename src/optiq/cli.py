@@ -10,16 +10,13 @@ Subcommands:
 
 Exit codes: 0 success, 2 shape error, 3 unitarity error, 4 numerical
 instability, 1 anything else. Every command is deterministic given its
-flags; reports embed the full configuration so they can be replayed. The
-environment variable OPTIQ_BASIS_CACHE, when set, points at a directory
-used to cache orthonormalized image bases between runs.
+flags; reports embed the full configuration so they can be replayed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,13 +81,6 @@ def _parse_ordering(value: str):
     return value
 
 
-def _image_basis_for(basis: FockBasis):
-    cache_dir = os.environ.get("OPTIQ_BASIS_CACHE")
-    if cache_dir:
-        return serialize.cached_image_basis(basis, cache_dir)
-    return build_image_basis(basis)
-
-
 def _write_output(path: str, obj) -> None:
     text = serialize.dumps_canonical(obj)
     if path == "-":
@@ -110,7 +100,7 @@ def _run_multi_start(config: RunConfig, target: np.ndarray, include_trace: bool)
             f"target dimension {target.shape[0]} does not match "
             f"dimension(m={config.m}, n={config.n}) = {len(basis)}")
     require_unitary(target, "target")
-    image_basis = _image_basis_for(basis)
+    image_basis = build_image_basis(basis)
     clusters = multi_start(target, image_basis, config.starts,
                            tol=config.tol, max_iter=config.max_iter,
                            rng_seed=config.rng_seed, cluster_tol=config.cluster_tol)

@@ -2,9 +2,12 @@
 
 The inner product is <u, v> = (1/2) tr(u† v + v† u) = Re tr(u† v), whose
 norm is the Frobenius norm. The reachable subalgebra (the image of the
-generator lift from u(m)) is m^2-dimensional; :func:`build_image_basis`
-orthonormalizes a lifted canonical basis while tracking the u(m) preimage of
-every element, so projections can be pulled back to mode space exactly.
+generator lift from u(m)) is m^2-dimensional. :func:`build_image_basis`
+lifts the canonical basis of u(m), factors the Gram matrix of the lifts as
+L L^T (Cholesky) and applies L^{-1} to the lifts and to their u(m)
+preimages alike. That is Gram-Schmidt in generator order with positive
+pivots, and it keeps the preimage of every element, so projections can be
+pulled back to mode space exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from .fock import FockBasis
 from .homomorphism import second_quantize
 from .validate import as_complex_matrix, require_same_shape, require_unitary
 
-#: Gram-Schmidt vectors below this norm signal a rank-deficient lift.
+#: A Cholesky pivot (the norm a Gram-Schmidt vector keeps after
+#: orthogonalization) below this signals a rank-deficient lift.
 GRAM_SCHMIDT_DROP_TOL = 1e-8
 
 #: Projection coefficients are real by construction; larger imaginary parts
@@ -120,26 +124,31 @@ class ImageBasis:
 
 
 def _orthonormalize(vectors, preimages):
-    """Modified Gram-Schmidt with one re-orthogonalization pass, carrying the
-    same real linear combinations on the preimages."""
-    out_b: list[np.ndarray] = []
-    out_g: list[np.ndarray] = []
-    for w, p in zip(vectors, preimages):
-        w = np.array(w, dtype=complex)
-        p = np.array(p, dtype=complex)
-        for _ in range(2):
-            for b, g in zip(out_b, out_g):
-                c = inner(b, w)
-                w -= c * b
-                p -= c * g
-        nrm = np.sqrt(inner(w, w))
-        if nrm < GRAM_SCHMIDT_DROP_TOL:
-            raise RankDeficiencyError(
-                f"vector {len(out_b)} has norm {nrm:.3e} after orthogonalization; "
-                "the lifted generators should be linearly independent")
-        out_b.append(w / nrm)
-        out_g.append(p / nrm)
-    return out_b, out_g
+    """Orthonormalize ``vectors`` in order, carrying the same real linear
+    combinations on ``preimages``; returns both as stacked arrays.
+
+    With G = L L^T the Cholesky factorization of the Gram matrix under
+    :func:`inner`, the rows of L^{-1} V are what Gram-Schmidt makes of the
+    rows of V, and the pivots L[i, i] are the norms it divides by.
+    """
+    vectors = np.asarray(vectors, dtype=complex)
+    preimages = np.asarray(preimages, dtype=complex)
+    k = len(vectors)
+    # <u, v> = Re tr(u† v) is the dot product of the (re, im) float views
+    flat = vectors.reshape(k, -1).view(float)
+    try:
+        L = scipy.linalg.cholesky(flat @ flat.T, lower=True)
+    except np.linalg.LinAlgError:
+        L = None
+    if L is None or np.diagonal(L).min() < GRAM_SCHMIDT_DROP_TOL:
+        raise RankDeficiencyError(
+            "a Gram-Schmidt pivot fell below "
+            f"{GRAM_SCHMIDT_DROP_TOL:g}; the lifted generators should be "
+            "linearly independent")
+    L_inv = scipy.linalg.solve_triangular(L, np.eye(k), lower=True)
+    elements = (L_inv @ flat).view(complex)
+    pre = (L_inv @ preimages.reshape(k, -1).view(float)).view(complex)
+    return elements.reshape(vectors.shape), pre.reshape(preimages.shape)
 
 
 def build_image_basis(basis: FockBasis) -> ImageBasis:
@@ -149,10 +158,12 @@ def build_image_basis(basis: FockBasis) -> ImageBasis:
     trace metric, tracking preimages so that
     ``second_quantize(preimages[i]) == elements[i]`` to roundoff.
     """
-    gens = unitary_algebra_generators(basis.m)
-    lifted = [second_quantize(g, basis) for g in gens]
-    out_b, out_g = _orthonormalize(lifted, gens)
-    return ImageBasis(basis, np.array(out_b), np.array(out_g))
+    gens = np.array(unitary_algebra_generators(basis.m))
+    M = len(basis)
+    lifted = np.empty((len(gens), M, M), dtype=complex)
+    for i, g in enumerate(gens):
+        lifted[i] = second_quantize(g, basis)
+    return ImageBasis(basis, *_orthonormalize(lifted, gens))
 
 
 def project(v, image_basis: ImageBasis):
@@ -168,7 +179,8 @@ def project(v, image_basis: ImageBasis):
         raise ShapeError(
             f"cannot project shape {v.shape} onto a basis of shape "
             f"{image_basis.elements.shape[1:]}")
-    t = np.einsum("kij,ij->k", image_basis.elements.conj(), v)
+    # conj(sum e * conj(v)) is tr(e† v) without a conjugated copy of the basis
+    t = np.einsum("kij,ij->k", image_basis.elements, v.conj()).conj()
     worst = float(np.max(np.abs(t.imag))) if len(t) else 0.0
     if worst > COEFF_IMAG_TOL:
         raise InternalConsistencyError(

@@ -1,16 +1,14 @@
 """JSON file formats shared by the library and the CLI.
 
 Complex matrices:  {"dim": d, "entries": [[[re, im], ...], ...]}  row-major.
-Fock bases:        {"m": m, "n": n, "states": [[int, ...], ...]}.
 Circuit plans:     {"format_version", "m", "elements": [{"kind", "modes",
                     "theta", "phi"}, ...], "residual_phases": [float, ...]}.
-Image-basis cache: {"format_version", "m", "n", "ordering", "elements",
-                    "preimages"} with matrices in the shared format.
 
 A plain-text matrix reader is also accepted for convenience: one row per
 line, whitespace-separated complex literals such as ``0.5``, ``-2i`` or
 ``0.3-0.7i`` (``j`` works too). All writers emit canonical JSON (sorted
 keys, two-space indent), so identical data produces identical bytes.
+Both matrix readers reject NaN and infinite entries.
 """
 
 from __future__ import annotations
@@ -22,8 +20,6 @@ import numpy as np
 
 from .circuit import CircuitPlan, OpticalElement
 from .errors import OptiqError, ShapeError
-from .fock import FockBasis
-from .lie import ImageBasis, build_image_basis
 
 FORMAT_VERSION = 1
 
@@ -52,6 +48,12 @@ def matrix_to_obj(A) -> dict:
     }
 
 
+def _require_finite(A: np.ndarray) -> np.ndarray:
+    if not np.isfinite(A).all():
+        raise OptiqError("matrix entries must be finite, got NaN or infinity")
+    return A
+
+
 def matrix_from_obj(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise OptiqError("matrix object must be a dict with an 'entries' field")
@@ -66,7 +68,7 @@ def matrix_from_obj(obj) -> np.ndarray:
     if "dim" in obj and int(obj["dim"]) != A.shape[0]:
         raise ShapeError(
             f"declared dim {obj['dim']} does not match {A.shape[0]} rows")
-    return A
+    return _require_finite(A)
 
 
 def parse_text_matrix(text: str) -> np.ndarray:
@@ -78,14 +80,16 @@ def parse_text_matrix(text: str) -> np.ndarray:
             continue
         row = []
         for token in line.split():
+            # only a trailing i is the imaginary unit; "inf" keeps its own
+            literal = token[:-1] + "j" if token.endswith("i") else token
             try:
-                row.append(complex(token.replace("i", "j")))
+                row.append(complex(literal))
             except ValueError:
                 raise OptiqError(f"cannot parse complex literal {token!r}") from None
         rows.append(row)
     if not rows or any(len(r) != len(rows) for r in rows):
         raise ShapeError("text matrix must be square and non-empty")
-    return np.array(rows, dtype=complex)
+    return _require_finite(np.array(rows, dtype=complex))
 
 
 def load_matrix(path) -> np.ndarray:
@@ -98,27 +102,6 @@ def load_matrix(path) -> np.ndarray:
 
 def save_matrix(path, A) -> None:
     save_json(path, matrix_to_obj(A))
-
-
-# -- Fock bases --------------------------------------------------------------
-
-def basis_to_obj(basis: FockBasis) -> dict:
-    return {"m": basis.m, "n": basis.n,
-            "states": [list(s) for s in basis.states]}
-
-
-def basis_from_obj(obj) -> FockBasis:
-    try:
-        return FockBasis(int(obj["m"]), int(obj["n"]), obj["states"])
-    except (KeyError, TypeError) as exc:
-        raise OptiqError(f"malformed basis object: {exc}") from None
-
-
-def ordering_to_obj(basis: FockBasis):
-    """Config-friendly ordering: the tag, or the explicit state list."""
-    if basis.ordering == "explicit":
-        return [list(s) for s in basis.states]
-    return basis.ordering
 
 
 # -- circuit plans ------------------------------------------------------------
@@ -147,51 +130,3 @@ def plan_from_obj(obj) -> CircuitPlan:
                            tuple(float(x) for x in obj["residual_phases"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise OptiqError(f"malformed plan object: {exc}") from None
-
-
-# -- image-basis cache ---------------------------------------------------------
-
-def image_basis_to_obj(image_basis: ImageBasis) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "m": image_basis.basis.m,
-        "n": image_basis.basis.n,
-        "basis_states": [list(s) for s in image_basis.basis.states],
-        "ordering": image_basis.basis.ordering,
-        "elements": [matrix_to_obj(b) for b in image_basis.elements],
-        "preimages": [matrix_to_obj(g) for g in image_basis.preimages],
-    }
-
-
-def image_basis_from_obj(obj, expected_basis: FockBasis) -> ImageBasis:
-    """Rebuild a cached image basis, verifying it matches the expected
-    Fock basis and format version; raises OptiqError on any mismatch."""
-    if not isinstance(obj, dict) or obj.get("format_version") != FORMAT_VERSION:
-        raise OptiqError("unsupported image-basis cache version")
-    cached = FockBasis(int(obj["m"]), int(obj["n"]), obj["basis_states"],
-                       obj.get("ordering", "explicit"))
-    if cached != expected_basis:
-        raise OptiqError("cached image basis was built for a different Fock basis")
-    elements = np.array([matrix_from_obj(o) for o in obj["elements"]])
-    preimages = np.array([matrix_from_obj(o) for o in obj["preimages"]])
-    if elements.shape[0] != expected_basis.m ** 2 or elements.shape[0] != preimages.shape[0]:
-        raise OptiqError("cached image basis has the wrong element count")
-    return ImageBasis(expected_basis, elements, preimages)
-
-
-def cached_image_basis(basis: FockBasis, cache_dir) -> ImageBasis:
-    """Load the image basis from ``cache_dir`` or build it and cache it."""
-    import hashlib
-
-    key_src = dumps_canonical(basis_to_obj(basis)).encode()
-    key = hashlib.sha256(key_src).hexdigest()[:16]
-    path = Path(cache_dir) / f"image_basis_m{basis.m}_n{basis.n}_{key}.json"
-    if path.exists():
-        try:
-            return image_basis_from_obj(load_json(path), basis)
-        except (OptiqError, json.JSONDecodeError, KeyError):
-            pass  # stale or foreign cache entry: rebuild below
-    image_basis = build_image_basis(basis)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_json(path, image_basis_to_obj(image_basis))
-    return image_basis

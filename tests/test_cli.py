@@ -96,19 +96,6 @@ class TestApproximateCommand:
         out.write_text(json.dumps(report))
         assert run(["replay", str(out)]) == 1
 
-    def test_basis_cache_env(self, tmp_path, qft3_file, order_file, monkeypatch):
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("OPTIQ_BASIS_CACHE", str(cache))
-        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        args = ["approximate", qft3_file, "-m", "2", "-n", "2",
-                "--ordering", order_file, "--starts", "2", "--seed", "1",
-                "--max-iter", "400"]
-        assert run(args + ["-o", str(out1)]) == 0
-        cached = list(cache.glob("image_basis_*.json"))
-        assert len(cached) == 1
-        assert run(args + ["-o", str(out2)]) == 0  # second run loads the cache
-        assert out1.read_bytes() == out2.read_bytes()
-
 
 class TestLiftCommand:
     def test_identity(self, tmp_path):
@@ -125,6 +112,18 @@ class TestLiftCommand:
         assert run(["lift", str(src), "-m", "2", "-n", "2",
                     "--ordering", order_file, "-o", str(out)]) == 0
         assert np.max(np.abs(serialize.load_matrix(out) - golden.UA3)) < 1e-4
+
+    @pytest.mark.parametrize("text", [
+        '{"dim": 2, "entries": [[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+        "inf 0\n0 1\n",
+    ], ids=["json-nan", "text-inf"])
+    def test_non_finite_input_exits_1(self, tmp_path, capsys, text):
+        src = tmp_path / "s.txt"
+        src.write_text(text)
+        out = tmp_path / "u.json"
+        assert run(["lift", str(src), "-m", "2", "-n", "2", "-o", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_random_output_is_unitary(self, tmp_path):
         src = tmp_path / "s.json"

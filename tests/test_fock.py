@@ -1,12 +1,10 @@
 import itertools
-import json
 
 import pytest
 
 from optiq.errors import (DimensionOverflowError, InvalidOrderingError,
                           UnknownStateError)
 from optiq.fock import dimension, enumerate_basis
-from optiq import serialize
 
 
 def brute_force_states(m, n):
@@ -94,17 +92,3 @@ def test_enumeration_is_deterministic():
 def test_basis_equality():
     assert enumerate_basis(2, 2) == enumerate_basis(2, 2)
     assert enumerate_basis(2, 2) != enumerate_basis(2, 2, ordering=[(2, 0), (0, 2), (1, 1)])
-
-
-def test_basis_json_round_trip():
-    basis = enumerate_basis(3, 2)
-    obj = serialize.basis_to_obj(basis)
-    # the wire format is plain ints
-    assert json.loads(json.dumps(obj)) == obj
-    again = serialize.basis_from_obj(obj)
-    assert again == basis
-
-
-def test_basis_from_obj_validates():
-    with pytest.raises(InvalidOrderingError):
-        serialize.basis_from_obj({"m": 2, "n": 2, "states": [[2, 0], [0, 2]]})

@@ -132,6 +132,37 @@ def test_polar_unitary_projects():
     assert distance(P, U) < 1e-7
 
 
+def gram_schmidt_oracle(basis):
+    """Modified Gram-Schmidt with one re-orthogonalization pass over the
+    lifted u(m) generators, carrying the same combinations on the
+    preimages. Slow but obvious; returns stacked (elements, preimages)."""
+    out_b, out_g = [], []
+    for g in unitary_algebra_generators(basis.m):
+        w = second_quantize(g, basis)
+        p = g.copy()
+        for _ in range(2):
+            for b, h in zip(out_b, out_g):
+                c = inner(b, w)
+                w -= c * b
+                p -= c * h
+        nrm = np.sqrt(inner(w, w))
+        out_b.append(w / nrm)
+        out_g.append(p / nrm)
+    return np.array(out_b), np.array(out_g)
+
+
+@pytest.fixture(scope="module", params=[
+    pytest.param((1, 3, "lex_desc"), id="1-3"),
+    pytest.param((2, 2, golden.ORDER_22), id="2-2-golden"),
+    pytest.param((3, 3, "lex_desc"), id="3-3"),
+    pytest.param((4, 3, "lex_desc"), id="4-3"),
+    pytest.param((5, 4, "lex_desc"), id="5-4"),
+])
+def image_and_oracle(request):
+    basis = enumerate_basis(*request.param)
+    return build_image_basis(basis), gram_schmidt_oracle(basis)
+
+
 class TestImageBasis:
     def test_generator_count(self):
         for m in (1, 2, 3, 4):
@@ -146,15 +177,19 @@ class TestImageBasis:
         assert len(ib) == 1
         assert np.allclose(ib.elements[0], 1j * np.eye(1), atol=1e-12)
 
-    def test_gram_matrix_is_identity(self):
-        ib = build_image_basis(enumerate_basis(3, 2))
-        assert len(ib) == 9
+    def test_gram_matrix_is_identity(self, image_and_oracle):
+        ib, oracle = image_and_oracle
+        k = ib.basis.m ** 2
+        assert len(ib) == k
         gram = np.array([[inner(a, b) for b in ib.elements] for a in ib.elements])
-        assert np.linalg.norm(gram - np.eye(9)) < 1e-9
+        assert np.linalg.norm(gram - np.eye(k)) < 1e-9
+        assert np.max(np.abs(ib.elements - oracle[0])) < 1e-12
 
-    def test_preimages_lift_to_elements(self, image22):
-        for b, g in zip(image22.elements, image22.preimages):
-            assert np.linalg.norm(second_quantize(g, image22.basis) - b) < 1e-9
+    def test_preimages_lift_to_elements(self, image_and_oracle):
+        ib, oracle = image_and_oracle
+        for b, g in zip(ib.elements, ib.preimages):
+            assert np.linalg.norm(second_quantize(g, ib.basis) - b) < 1e-9
+        assert np.max(np.abs(ib.preimages - oracle[1])) < 1e-12
 
     def test_rank_deficiency_detected(self):
         v = np.zeros((2, 2), dtype=complex)

@@ -7,8 +7,7 @@ from conftest import haar
 from optiq import serialize
 from optiq.circuit import decompose, reconstruct
 from optiq.errors import OptiqError, ShapeError
-from optiq.fock import enumerate_basis
-from optiq.lie import build_image_basis, distance
+from optiq.lie import distance
 
 
 class TestMatrixFormat:
@@ -40,6 +39,12 @@ class TestMatrixFormat:
     def test_rectangular_rejected(self):
         with pytest.raises(ShapeError):
             serialize.matrix_to_obj(np.ones((2, 3)))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(OptiqError, match="finite"):
+            serialize.matrix_from_obj({"entries": [[[1.0, float("nan")]]]})
+        with pytest.raises(OptiqError, match="finite"):
+            serialize.parse_text_matrix("1 0\n0 -inf\n")
 
 
 class TestTextFormat:
@@ -76,44 +81,3 @@ class TestPlanFormat:
         with pytest.raises(OptiqError):
             serialize.plan_from_obj({"m": 2, "elements": [{"kind": "beam_splitter"}],
                                      "residual_phases": [0, 0]})
-
-
-class TestImageBasisCache:
-    def test_object_round_trip(self):
-        basis = enumerate_basis(2, 2)
-        ib = build_image_basis(basis)
-        obj = json.loads(serialize.dumps_canonical(serialize.image_basis_to_obj(ib)))
-        again = serialize.image_basis_from_obj(obj, basis)
-        assert np.array_equal(again.elements, ib.elements)
-        assert np.array_equal(again.preimages, ib.preimages)
-
-    def test_mismatched_basis_rejected(self):
-        ib = build_image_basis(enumerate_basis(2, 2))
-        obj = serialize.image_basis_to_obj(ib)
-        other = enumerate_basis(2, 2, ordering=[(2, 0), (0, 2), (1, 1)])
-        with pytest.raises(OptiqError):
-            serialize.image_basis_from_obj(obj, other)
-
-    def test_version_checked(self):
-        basis = enumerate_basis(2, 2)
-        obj = serialize.image_basis_to_obj(build_image_basis(basis))
-        obj["format_version"] = 999
-        with pytest.raises(OptiqError):
-            serialize.image_basis_from_obj(obj, basis)
-
-    def test_cache_dir_round_trip(self, tmp_path):
-        basis = enumerate_basis(2, 2)
-        first = serialize.cached_image_basis(basis, tmp_path)
-        files = list(tmp_path.glob("image_basis_*.json"))
-        assert len(files) == 1
-        second = serialize.cached_image_basis(basis, tmp_path)
-        assert np.array_equal(first.elements, second.elements)
-        assert list(tmp_path.glob("image_basis_*.json")) == files
-
-    def test_corrupt_cache_rebuilt(self, tmp_path):
-        basis = enumerate_basis(2, 2)
-        serialize.cached_image_basis(basis, tmp_path)
-        path = next(tmp_path.glob("image_basis_*.json"))
-        path.write_text("{broken")
-        rebuilt = serialize.cached_image_basis(basis, tmp_path)
-        assert rebuilt.elements.shape == (4, 3, 3)
