@@ -11,10 +11,7 @@ with theta in [0, pi/2] and phi in (-pi, pi]. A plan reconstructs as
 
     U = diag(exp(i residual_phases)) @ M(e_last) @ ... @ M(e_1),
 
-elements listed in the order light meets them. Phase-shifter elements
-(a single exp(i phi) on one mode) are accepted by :func:`reconstruct` so
-externally produced plans can mix both kinds; :func:`decompose` emits beam
-splitters plus residual phases only.
+elements listed in the order light meets them.
 """
 
 from __future__ import annotations
@@ -47,12 +44,11 @@ def _wrap(angle: float) -> float:
 
 @dataclass(frozen=True)
 class OpticalElement:
-    """One mesh element: a beam splitter on an adjacent pair or a phase
-    shifter on a single mode."""
+    """One mesh element: a beam splitter on an adjacent pair of modes."""
 
-    kind: str                # "beam_splitter" | "phase_shifter"
+    kind: str                # "beam_splitter"
     modes: tuple[int, ...]
-    theta: float = 0.0       # splitting angle, beam splitters only
+    theta: float = 0.0       # splitting angle
     phi: float = 0.0
 
 
@@ -73,14 +69,8 @@ def _splitter_block(theta: float, phi: float) -> np.ndarray:
 
 def _element_matrix(element: OpticalElement, m: int) -> np.ndarray:
     M = np.eye(m, dtype=complex)
-    if element.kind == "beam_splitter":
-        j, k = element.modes
-        M[np.ix_((j, k), (j, k))] = _splitter_block(element.theta, element.phi)
-    elif element.kind == "phase_shifter":
-        (j,) = element.modes
-        M[j, j] = np.exp(1j * element.phi)
-    else:
-        raise ShapeError(f"unknown element kind {element.kind!r}")
+    j, k = element.modes
+    M[np.ix_((j, k), (j, k))] = _splitter_block(element.theta, element.phi)
     return M
 
 
@@ -91,17 +81,13 @@ def _validate_plan(plan: CircuitPlan) -> None:
         raise ShapeError(
             f"expected {plan.m} residual phases, got {len(plan.residual_phases)}")
     for el in plan.elements:
-        if el.kind == "beam_splitter":
-            if len(el.modes) != 2 or el.modes[1] != el.modes[0] + 1:
-                raise ShapeError(
-                    f"beam splitter modes must be an adjacent pair, got {el.modes}")
-            if not (0 <= el.modes[0] and el.modes[1] < plan.m):
-                raise ShapeError(f"beam splitter modes {el.modes} out of range for m={plan.m}")
-        elif el.kind == "phase_shifter":
-            if len(el.modes) != 1 or not (0 <= el.modes[0] < plan.m):
-                raise ShapeError(f"phase shifter mode {el.modes} out of range for m={plan.m}")
-        else:
+        if el.kind != "beam_splitter":
             raise ShapeError(f"unknown element kind {el.kind!r}")
+        if len(el.modes) != 2 or el.modes[1] != el.modes[0] + 1:
+            raise ShapeError(
+                f"beam splitter modes must be an adjacent pair, got {el.modes}")
+        if not (0 <= el.modes[0] and el.modes[1] < plan.m):
+            raise ShapeError(f"beam splitter modes {el.modes} out of range for m={plan.m}")
 
 
 def reconstruct(plan: CircuitPlan) -> np.ndarray:

@@ -68,17 +68,18 @@ class RunConfig:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "RunConfig":
-        return cls(m=int(obj["m"]), n=int(obj["n"]), ordering=obj["ordering"],
-                   tol=float(obj["tol"]), max_iter=int(obj["max_iter"]),
-                   starts=int(obj["starts"]), rng_seed=int(obj["rng_seed"]),
-                   cluster_tol=float(obj["cluster_tol"]))
+        try:
+            return cls(m=int(obj["m"]), n=int(obj["n"]), ordering=obj["ordering"],
+                       tol=float(obj["tol"]), max_iter=int(obj["max_iter"]),
+                       starts=int(obj["starts"]), rng_seed=int(obj["rng_seed"]),
+                       cluster_tol=float(obj["cluster_tol"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise OptiqError(f"malformed run configuration: {exc!r}") from None
 
 
 def _parse_ordering(value: str):
-    if value.startswith("@"):
-        loaded = serialize.load_json(value[1:])
-        return [tuple(int(x) for x in state) for state in loaded]
-    return value
+    """A tag, or from "@file" a state list that :func:`enumerate_basis` checks."""
+    return serialize.load_json(value[1:]) if value.startswith("@") else value
 
 
 def _write_output(path: str, obj) -> None:
@@ -142,16 +143,23 @@ def cmd_approximate(args) -> int:
     best = report["clusters"][0]
     _log(f"{len(report['clusters'])} cluster(s); best distance "
          f"{best['final_distance']:.9f} (fidelity bound {best['fidelity_bound']:.6f})")
+    if not best["converged"]:
+        _log(f"warning: the best cluster did not converge within "
+             f"max_iter={config.max_iter} iterations")
     return 0
 
 
 def cmd_replay(args) -> int:
     report = serialize.load_json(args.report)
-    config = RunConfig.from_obj(report["config"])
+    try:
+        config_obj, target_obj = report["config"], report["target"]
+        old = [float(c["final_distance"]) for c in report["clusters"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise OptiqError(f"malformed report: {exc!r}") from None
+    config = RunConfig.from_obj(config_obj)
     config.validate()
-    target = serialize.matrix_from_obj(report["target"])
+    target = serialize.matrix_from_obj(target_obj)
     fresh = _run_multi_start(config, target, include_trace=False)
-    old = [c["final_distance"] for c in report["clusters"]]
     new = [c["final_distance"] for c in fresh["clusters"]]
     if len(old) != len(new):
         _log(f"replay mismatch: {len(old)} recorded clusters vs {len(new)} recomputed")

@@ -62,7 +62,10 @@ class FockBasis:
                  ordering: str = "explicit"):
         self.m = int(m)
         self.n = int(n)
-        self.states = tuple(tuple(int(x) for x in s) for s in states)
+        try:
+            self.states = tuple(tuple(int(x) for x in s) for s in states)
+        except (TypeError, ValueError) as exc:
+            raise InvalidOrderingError(f"malformed state list: {exc}") from None
         self.ordering = ordering
         expected = dimension(self.m, self.n)
         for s in self.states:
@@ -122,4 +125,4 @@ def enumerate_basis(m: int, n: int,
         if ordering.replace("-", "_") != DEFAULT_ORDERING:
             raise InvalidOrderingError(f"unknown ordering tag {ordering!r}")
         return FockBasis(m, n, list(_compositions(m, n)), DEFAULT_ORDERING)
-    return FockBasis(m, n, list(ordering), "explicit")
+    return FockBasis(m, n, ordering, "explicit")

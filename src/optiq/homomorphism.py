@@ -1,24 +1,25 @@
 """Scattering-matrix lifts between the mode space and the photon space.
 
 An m-mode scattering matrix S acts on n indistinguishable photons as an
-M x M evolution matrix, M = C(m+n-1, n). The group-level lift is computed
-entrywise from matrix permanents,
+M x M evolution matrix, M = C(m+n-1, n), defined entrywise by permanents,
 
     <out| U |in> = per(S[out|in]) / sqrt(prod out_j! * prod in_k!),
 
 where S[out|in] repeats row j of S out_j times and column k in_k times.
 The algebra-level lift is second quantization, sum_{jk} A[j,k] a†_j a_k.
-The two constructions cross-validate each other through :func:`exp_lift`.
+Both lifts are computed from one table of creation operators instead: the
+group lift photon by photon from U a†_c U† = sum_j S[j,c] a†_j (Scheel,
+quant-ph/0406127), the algebra lift from a†_j a_k = sum_r a†_j |r><r| a_k.
+:func:`permanent` stays public, and the two lifts cross-validate each other
+through :func:`exp_lift`.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ShapeError
-from .fock import FockBasis
+from .fock import FockBasis, _compositions, enumerate_basis
 
 
 def permanent(A) -> complex:
@@ -50,65 +51,66 @@ def permanent(A) -> complex:
     return complex(total if k % 2 == 0 else -total)
 
 
-def _repeat_indices(basis: FockBasis) -> list[np.ndarray]:
-    modes = np.arange(basis.m)
-    return [np.repeat(modes, state) for state in basis.states]
-
-
-def _factorial_products(basis: FockBasis) -> list[int]:
-    return [math.prod(math.factorial(x) for x in state) for state in basis.states]
+def _creation_table(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
+    """(up, w) with a†_j |r> = w[r, j] |up[r, j]> into ``basis``, for the
+    lex-ordered states r with one photon fewer; w[r, j] = sqrt(r_j + 1)."""
+    m = basis.m
+    lower = np.array(list(_compositions(m, basis.n - 1)))
+    raised = lower[:, None, :] + np.eye(m, dtype=int)
+    up = [basis.index_of(s) for s in raised.reshape(-1, m).tolist()]
+    return np.reshape(up, (-1, m)), np.sqrt(lower + 1.0)
 
 
 def evolution_matrix(S, basis: FockBasis) -> np.ndarray:
-    """Lift an m x m scattering matrix to the M x M evolution matrix.
+    """Lift any m x m scattering matrix to the M x M evolution matrix.
 
-    Entry (p, q) is the normalized permanent of the submatrix of S whose
-    rows repeat per ``basis.states[p]`` and columns per ``basis.states[q]``.
-    The lift is a group homomorphism and preserves unitarity.
+    Built one photon at a time from the 1 x 1 vacuum lift: column q of the
+    k-photon lift is sum_j S[j,c] a†_j applied to column q - e_c of the
+    (k-1)-photon lift, divided by sqrt(q_c), with c the first occupied mode
+    of q. The lift is a group homomorphism and preserves unitarity.
     """
     S = np.asarray(S, dtype=complex)
     if S.shape != (basis.m, basis.m):
         raise ShapeError(
             f"scattering matrix shape {S.shape} does not match basis with m={basis.m}")
-    reps = _repeat_indices(basis)
-    facts = _factorial_products(basis)
-    M = len(basis)
-    U = np.empty((M, M), dtype=complex)
-    for q in range(M):
-        cols = reps[q]
-        for p in range(M):
-            # single sqrt of the exact integer product keeps e.g. the
-            # identity lift exactly the identity
-            U[p, q] = permanent(S[np.ix_(reps[p], cols)]) / math.sqrt(facts[p] * facts[q])
+    m = basis.m
+    U = np.ones((1, 1), dtype=complex)
+    for k in range(1, basis.n + 1):
+        level = basis if k == basis.n else enumerate_basis(m, k, max_dim=None)
+        up, w = _creation_table(level)
+        occ = np.array(level.states)
+        c = np.argmax(occ > 0, axis=1)
+        hit = c[up] == np.arange(m)  # up[r, j] = q with j = c_q, once per q
+        src = np.empty(len(level), dtype=int)
+        src[up[hit]] = np.nonzero(hit)[0]
+        prev, U = U[:, src], np.zeros((len(level), len(level)), dtype=complex)
+        for j in range(m):  # the rows up[:, j] are distinct
+            U[up[:, j]] += w[:, j, None] * S[j, c] * prev
+        # dividing last keeps e.g. the identity lift exactly the identity
+        U /= np.sqrt(occ[np.arange(len(level)), c])
     return U
 
 
 def second_quantize(A, basis: FockBasis) -> np.ndarray:
-    """Lift an m x m generator to the photon space.
+    """Lift an m x m generator, or a stack (..., m, m), to the photon space.
 
-    Returns the matrix of sum_{jk} A[j,k] a†_j a_k in the given basis,
-    using a†_j a_k |q> = sqrt(q_k (q_j + 1)) |q - e_k + e_j> for j != k and
-    q_j |q> for j = k. Anti-Hermitian input yields anti-Hermitian output.
+    Returns sum_{jk} A[j,k] a†_j a_k in the given basis: each off-diagonal
+    entry is A[j,k] w[r,j] w[r,k] for exactly one state r with one photon
+    fewer and j != k, and the diagonal is sum_j A[j,j] q_j. Anti-Hermitian
+    input yields anti-Hermitian output.
     """
     A = np.asarray(A, dtype=complex)
-    if A.shape != (basis.m, basis.m):
+    if A.shape[-2:] != (basis.m, basis.m):
         raise ShapeError(
             f"generator shape {A.shape} does not match basis with m={basis.m}")
+    up, w = _creation_table(basis)
+    j, k = np.nonzero(~np.eye(basis.m, dtype=bool))
     M = len(basis)
-    out = np.zeros((M, M), dtype=complex)
-    for q, occ in enumerate(basis.states):
-        for k, nk in enumerate(occ):
-            if nk == 0:
-                continue
-            out[q, q] += A[k, k] * nk
-            for j in range(basis.m):
-                if j == k or A[j, k] == 0:
-                    continue
-                shifted = list(occ)
-                shifted[k] -= 1
-                shifted[j] += 1
-                p = basis.index_of(shifted)
-                out[p, q] += A[j, k] * math.sqrt(nk * (occ[j] + 1))
+    out = np.zeros(A.shape[:-2] + (M, M), dtype=complex)
+    out[..., up[:, j], up[:, k]] = A[..., None, j, k] * (w[:, j] * w[:, k])
+    occ = np.array(basis.states, dtype=float)
+    diag = np.arange(M)
+    out[..., diag, diag] = (np.diagonal(A, axis1=-2, axis2=-1)[..., None, :] * occ).sum(-1)
     return out
 
 

@@ -3,11 +3,11 @@
 The inner product is <u, v> = (1/2) tr(u† v + v† u) = Re tr(u† v), whose
 norm is the Frobenius norm. The reachable subalgebra (the image of the
 generator lift from u(m)) is m^2-dimensional. :func:`build_image_basis`
-lifts the canonical basis of u(m), factors the Gram matrix of the lifts as
-L L^T (Cholesky) and applies L^{-1} to the lifts and to their u(m)
-preimages alike. That is Gram-Schmidt in generator order with positive
-pivots, and it keeps the preimage of every element, so projections can be
-pulled back to mode space exactly.
+lifts the canonical basis of u(m) in one stacked call, factors the Gram
+matrix of the lifts as L L^T (Cholesky) and applies L^{-1} to the lifts and
+to their u(m) preimages alike. That is Gram-Schmidt in generator order with
+positive pivots, and it keeps the preimage of every element, so projections
+can be pulled back to mode space exactly.
 """
 
 from __future__ import annotations
@@ -159,11 +159,7 @@ def build_image_basis(basis: FockBasis) -> ImageBasis:
     ``second_quantize(preimages[i]) == elements[i]`` to roundoff.
     """
     gens = np.array(unitary_algebra_generators(basis.m))
-    M = len(basis)
-    lifted = np.empty((len(gens), M, M), dtype=complex)
-    for i, g in enumerate(gens):
-        lifted[i] = second_quantize(g, basis)
-    return ImageBasis(basis, *_orthonormalize(lifted, gens))
+    return ImageBasis(basis, *_orthonormalize(second_quantize(gens, basis), gens))
 
 
 def project(v, image_basis: ImageBasis):

@@ -23,12 +23,6 @@ class TestReconstruct:
         ])
         assert np.allclose(reconstruct(plan), want, atol=1e-15)
 
-    def test_phase_shifter(self):
-        plan = CircuitPlan(3, (OpticalElement("phase_shifter", (1,), phi=0.7),),
-                           (0.0, 0.0, 0.0))
-        assert np.allclose(reconstruct(plan), np.diag([1, np.exp(0.7j), 1]),
-                           atol=1e-15)
-
     def test_balanced_splitter_with_phases_gives_symmetric_coupler(self):
         # theta = pi/4 with a quarter-turn input phase and matched output
         # phases reproduces the symmetric 50:50 convention
@@ -47,6 +41,9 @@ class TestReconstruct:
                                     (0.0, 0.0)))
         with pytest.raises(ShapeError):
             reconstruct(CircuitPlan(2, (OpticalElement("laser", (0,)),), (0.0, 0.0)))
+        with pytest.raises(ShapeError, match="unknown element kind"):
+            reconstruct(CircuitPlan(2, (OpticalElement("phase_shifter", (0,), phi=0.7),),
+                                    (0.0, 0.0)))
         with pytest.raises(ShapeError):
             reconstruct(CircuitPlan(2, (), (0.0,)))
 

@@ -86,6 +86,15 @@ class TestApproximateCommand:
         assert run(["approximate", str(junk), "-m", "2", "-n", "2",
                     "-o", str(tmp_path / "x.json")]) == 1
 
+    def test_non_convergence_warns(self, tmp_path, qft3_file, order_file, capsys):
+        args = ["approximate", qft3_file, "-m", "2", "-n", "2",
+                "--ordering", order_file, "--max-iter", "1"]
+        assert run(args + ["-o", str(tmp_path / "a.json")]) == 0
+        err = capsys.readouterr().err
+        assert "did not converge" in err and "max_iter=1" in err
+        assert run(args[:-1] + ["400", "-o", str(tmp_path / "b.json")]) == 0
+        assert "did not converge" not in capsys.readouterr().err
+
     def test_replay_detects_tampering(self, tmp_path, qft3_file, order_file):
         out = tmp_path / "report.json"
         run(["approximate", qft3_file, "-m", "2", "-n", "2",
@@ -95,6 +104,33 @@ class TestApproximateCommand:
         report["clusters"][0]["final_distance"] += 0.5
         out.write_text(json.dumps(report))
         assert run(["replay", str(out)]) == 1
+
+
+CONFIG = {"m": 2, "n": 2, "ordering": "lex_desc", "tol": 1e-10, "max_iter": 400,
+          "starts": 1, "rng_seed": 0, "cluster_tol": 1e-4}
+
+
+@pytest.mark.parametrize("command,content", [
+    ("replay", {"config": {}}),
+    ("replay", [1, 2]),
+    ("replay", {"config": CONFIG, "clusters": []}),
+    ("replay", {"config": {**CONFIG, "ordering": 5}, "clusters": [],
+                "target": serialize.matrix_to_obj(np.eye(3))}),
+    ("approximate", 5),
+], ids=["empty-config", "list-report", "no-target", "config-ordering-int",
+        "ordering-file-int"])
+def test_malformed_input_exits_1(tmp_path, capsys, qft3_file, command, content):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    if command == "replay":
+        args = ["replay", str(path)]
+    else:
+        args = ["approximate", qft3_file, "-m", "2", "-n", "2",
+                "--ordering", "@" + str(path), "-o", str(tmp_path / "out.json")]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestLiftCommand:

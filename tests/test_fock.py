@@ -56,6 +56,10 @@ def test_enumerate_rejects_bad_orderings():
         enumerate_basis(2, 2, ordering=[(2, 0), (0, 2), (1, 2)])  # wrong sum
     with pytest.raises(InvalidOrderingError):
         enumerate_basis(2, 2, ordering="alphabetical")
+    with pytest.raises(InvalidOrderingError):
+        enumerate_basis(2, 2, ordering=5)  # not a state list
+    with pytest.raises(InvalidOrderingError):
+        enumerate_basis(2, 2, ordering=[(2, 0), (0, 2), (1, "x")])  # not ints
 
 
 def test_enumerate_dimension_cap():

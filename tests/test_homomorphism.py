@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import numpy as np
 import pytest
@@ -20,6 +22,27 @@ def permanent_naive(A):
     for perm in itertools.permutations(range(k)):
         total += np.prod([A[i, perm[i]] for i in range(k)])
     return total
+
+
+def evolution_matrix_oracle(S, basis):
+    """Oracle: the entrywise permanent formula that defines the lift."""
+    S = np.asarray(S, dtype=complex)
+    modes = np.arange(basis.m)
+    reps = [np.repeat(modes, state) for state in basis.states]
+    facts = [math.prod(math.factorial(x) for x in state) for state in basis.states]
+    M = len(basis)
+    U = np.empty((M, M), dtype=complex)
+    for q in range(M):
+        for p in range(M):
+            U[p, q] = (permanent(S[np.ix_(reps[p], reps[q])])
+                       / math.sqrt(facts[p] * facts[q]))
+    return U
+
+
+def shuffled(m, n, seed):
+    states = list(enumerate_basis(m, n).states)
+    random.Random(seed).shuffle(states)
+    return states
 
 
 def random_anti_hermitian(rng, m):
@@ -72,6 +95,26 @@ class TestEvolutionMatrix:
     def test_shape_mismatch(self, basis22):
         with pytest.raises(ShapeError):
             evolution_matrix(np.eye(3), basis22)
+
+    @pytest.mark.parametrize("m,n,ordering", [
+        pytest.param(1, 3, "lex_desc", id="1-3"),
+        pytest.param(2, 2, golden.ORDER_22, id="2-2-golden"),
+        pytest.param(3, 3, "lex_desc", id="3-3"),
+        pytest.param(4, 3, shuffled(4, 3, seed=43), id="4-3-shuffled"),
+        pytest.param(5, 4, "lex_desc", id="5-4"),
+    ])
+    def test_matches_permanent_oracle(self, m, n, ordering):
+        basis = enumerate_basis(m, n, ordering)
+        rng = np.random.default_rng(10 * m + n)
+        ginibre = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        for S in (haar(rng, m), ginibre):
+            want = evolution_matrix_oracle(S, basis)
+            got = evolution_matrix(S, basis)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # the algebra lift against the same definition
+        A = random_anti_hermitian(rng, m)
+        want = evolution_matrix_oracle(matrix_exp(A), basis)
+        assert np.linalg.norm(exp_lift(A, basis) - want) < 1e-9
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_homomorphism_and_unitarity(self, m, n):

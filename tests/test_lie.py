@@ -187,8 +187,10 @@ class TestImageBasis:
 
     def test_preimages_lift_to_elements(self, image_and_oracle):
         ib, oracle = image_and_oracle
-        for b, g in zip(ib.elements, ib.preimages):
-            assert np.linalg.norm(second_quantize(g, ib.basis) - b) < 1e-9
+        each = np.array([second_quantize(g, ib.basis) for g in ib.preimages])
+        for b, w in zip(ib.elements, each):
+            assert np.linalg.norm(w - b) < 1e-9
+        assert np.array_equal(second_quantize(ib.preimages, ib.basis), each)
         assert np.max(np.abs(ib.preimages - oracle[1])) < 1e-12
 
     def test_rank_deficiency_detected(self):
