@@ -237,64 +237,3 @@ def fidelity_bound(v_N_norm: float) -> float:
         raise ValueError(f"norm must be non-negative, got {v_N_norm}")
     return max(-1.0, 1.0 - 0.5 * v_N_norm * v_N_norm)
 
-
-# -- Eigenphase-spacing statistics for two-mode Haar samples ----------------
-#
-# For 2 x 2 Haar unitaries the circular distance s between the two
-# eigenphases has density (1 - cos s) / pi on [0, pi], hence CDF
-# (s - sin s) / pi. The sampler is validated against this law with a
-# chi-square test over equal-probability bins.
-
-def u2_spacing(U) -> float:
-    """Circular distance in [0, pi] between the eigenphases of a 2 x 2 unitary."""
-    U = np.asarray(U, dtype=complex)
-    if U.shape != (2, 2):
-        raise ShapeError(f"expected a 2 x 2 matrix, got shape {U.shape}")
-    a, b = np.angle(np.linalg.eigvals(U))
-    delta = abs(a - b) % (2 * np.pi)
-    return float(min(delta, 2 * np.pi - delta))
-
-
-def u2_spacing_cdf(s) -> np.ndarray:
-    """Exact CDF (s - sin s) / pi of the two-mode Haar eigenphase spacing."""
-    s = np.asarray(s, dtype=float)
-    return (s - np.sin(s)) / np.pi
-
-
-def u2_spacing_ppf(q) -> np.ndarray:
-    """Inverse of :func:`u2_spacing_cdf` on [0, 1], by bisection."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    if np.any((q < 0) | (q > 1)):
-        raise ValueError("quantiles must lie in [0, 1]")
-    lo = np.zeros_like(q)
-    hi = np.full_like(q, np.pi)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        below = u2_spacing_cdf(mid) < q
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def haar_spacing_test(samples: int, rng_seed: int, bins: int = 20):
-    """Chi-square goodness of fit of sampled 2 x 2 eigenphase spacings.
-
-    Returns (statistic, threshold, passed) where the threshold is the 1%
-    critical value of chi-square with bins - 1 degrees of freedom and the
-    bins are equal-probability under the exact law.
-    """
-    from scipy.stats import chi2
-
-    if samples < bins * 20:
-        raise ValueError(f"need at least {bins * 20} samples for {bins} bins")
-    spacings = np.array([
-        u2_spacing(haar_random(2, derive_seed(rng_seed, i)))
-        for i in range(samples)
-    ])
-    edges = u2_spacing_ppf(np.linspace(0.0, 1.0, bins + 1))
-    edges[0], edges[-1] = 0.0, np.pi
-    counts, _ = np.histogram(spacings, bins=edges)
-    expected = samples / bins
-    statistic = float(np.sum((counts - expected) ** 2 / expected))
-    threshold = float(chi2.ppf(0.99, bins - 1))
-    return statistic, threshold, statistic < threshold

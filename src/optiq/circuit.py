@@ -99,7 +99,7 @@ def reconstruct(plan: CircuitPlan) -> np.ndarray:
     return np.diag(np.exp(1j * np.asarray(plan.residual_phases, dtype=float))) @ U
 
 
-def decompose(S, unitarity_tol: float = INPUT_UNITARITY_TOL) -> CircuitPlan:
+def decompose(S) -> CircuitPlan:
     """Factor a unitary into at most m(m-1)/2 beam splitters plus phases.
 
     Rectangular elimination: sweeps of adjacent-mode rotations null the
@@ -109,11 +109,11 @@ def decompose(S, unitarity_tol: float = INPUT_UNITARITY_TOL) -> CircuitPlan:
     beam-splitter block. Eliminations whose target entry is already below
     NULL_SKIP_TOL are skipped, so the identity yields an empty plan.
 
-    Input must be unitary within ``unitarity_tol`` times its dimension; what
+    Input must be unitary within INPUT_UNITARITY_TOL times its dimension; what
     gets factored is its unitary polar projection, so reconstruction is
     exactly unitary and agrees with the input to its own rounding error.
     """
-    S = require_unitary(S, "scattering matrix", tol=unitarity_tol)
+    S = require_unitary(S, "scattering matrix", tol=INPUT_UNITARITY_TOL)
     m = S.shape[0]
     V = polar_unitary(S)
     right_ops: list[tuple[int, float, float]] = []  # (mode, theta, phi) as applied

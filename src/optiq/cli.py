@@ -6,7 +6,6 @@ Subcommands:
     sample        Haar-random scattering matrix
     decompose     beam-splitter mesh of a scattering-matrix file
     replay        re-execute a report's configuration and verify distances
-    spacing-test  chi-square check of two-mode Haar eigenphase spacings
 
 Exit codes: 0 success, 2 shape error, 3 unitarity error, 4 numerical
 instability, 1 anything else. Every command is deterministic given its
@@ -25,11 +24,11 @@ import numpy as np
 
 from . import serialize
 from .approx import (DEFAULT_CLUSTER_TOL, DEFAULT_MAX_ITER, DEFAULT_TOL,
-                     fidelity_bound, haar_random, haar_spacing_test, multi_start)
+                     fidelity_bound, haar_random, multi_start)
 from .circuit import decompose
 from .errors import (NumericalInstabilityError, OptiqError, ShapeError,
                      UnitarityError)
-from .fock import FockBasis, dimension, enumerate_basis
+from .fock import FockBasis, enumerate_basis
 from .lie import build_image_basis, distance
 from .validate import require_unitary
 
@@ -48,14 +47,6 @@ class RunConfig:
     starts: int = 1
     rng_seed: int = 0
     cluster_tol: float = DEFAULT_CLUSTER_TOL
-
-    def validate(self) -> None:
-        if not self.tol > 0 or not self.cluster_tol > 0:
-            raise ValueError("tolerances must be positive")
-        if self.starts < 1:
-            raise ValueError("start count must be >= 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
     def basis(self) -> FockBasis:
         return enumerate_basis(self.m, self.n, self.ordering)
@@ -136,7 +127,6 @@ def cmd_approximate(args) -> int:
                        ordering=_parse_ordering(args.ordering),
                        tol=args.tol, max_iter=args.max_iter, starts=args.starts,
                        rng_seed=args.seed, cluster_tol=args.cluster_tol)
-    config.validate()
     target = serialize.load_matrix(args.target)
     report = _run_multi_start(config, target, args.trace)
     _write_output(args.output, report)
@@ -157,7 +147,6 @@ def cmd_replay(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise OptiqError(f"malformed report: {exc!r}") from None
     config = RunConfig.from_obj(config_obj)
-    config.validate()
     target = serialize.matrix_from_obj(target_obj)
     fresh = _run_multi_start(config, target, include_trace=False)
     new = [c["final_distance"] for c in fresh["clusters"]]
@@ -206,14 +195,6 @@ def cmd_decompose(args) -> int:
     phases = ", ".join(f"{p:.6f}" for p in plan.residual_phases)
     _log(f"residual phases: [{phases}]  (reconstruction residual {residual:.2e})")
     return 0
-
-
-def cmd_spacing_test(args) -> int:
-    statistic, threshold, passed = haar_spacing_test(args.samples, args.seed, args.bins)
-    print(f"chi-square statistic {statistic:.3f} vs 1% critical value "
-          f"{threshold:.3f} ({args.samples} samples, {args.bins} bins): "
-          f"{'pass' if passed else 'FAIL'}")
-    return 0 if passed else 1
 
 
 def _add_basis_options(parser) -> None:
@@ -268,13 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scattering", help="scattering-matrix file (JSON or text)")
     p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("spacing-test",
-                       help="chi-square test of two-mode Haar eigenphase spacings")
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bins", type=int, default=20)
-    p.set_defaults(func=cmd_spacing_test)
 
     return parser
 

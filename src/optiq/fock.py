@@ -10,6 +10,7 @@ specific order is required (reference data sets often fix their own).
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterator, Sequence
 
 from .errors import DimensionOverflowError, InvalidOrderingError, UnknownStateError
@@ -39,6 +40,13 @@ def dimension(m: int, n: int) -> int:
     return math.comb(m + n - 1, n)
 
 
+def _occupation(x) -> int:
+    """An int or numpy integer as a Python int; bools and floats are refused."""
+    if isinstance(x, bool):
+        raise TypeError(f"occupation {x!r} is not an integer")
+    return operator.index(x)
+
+
 def _compositions(m: int, n: int) -> Iterator[tuple[int, ...]]:
     """All weak compositions of n into m parts, lexicographically descending."""
     if m == 1:
@@ -63,8 +71,8 @@ class FockBasis:
         self.m = int(m)
         self.n = int(n)
         try:
-            self.states = tuple(tuple(int(x) for x in s) for s in states)
-        except (TypeError, ValueError) as exc:
+            self.states = tuple(tuple(map(_occupation, s)) for s in states)
+        except TypeError as exc:
             raise InvalidOrderingError(f"malformed state list: {exc}") from None
         self.ordering = ordering
         expected = dimension(self.m, self.n)

@@ -65,9 +65,11 @@ def matrix_from_obj(obj) -> np.ndarray:
         raise OptiqError(f"malformed matrix entries: {exc}") from None
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeError(f"matrix entries must be square, got shape {A.shape}")
-    if "dim" in obj and int(obj["dim"]) != A.shape[0]:
-        raise ShapeError(
-            f"declared dim {obj['dim']} does not match {A.shape[0]} rows")
+    dim = obj.get("dim", A.shape[0])
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+        raise OptiqError(f"declared dim must be an integer, got {dim!r}")
+    if dim != A.shape[0]:
+        raise ShapeError(f"declared dim {dim} does not match {A.shape[0]} rows")
     return _require_finite(A)
 
 

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import golden
 from optiq.fock import enumerate_basis
+from optiq.homomorphism import permanent
 from optiq.lie import build_image_basis
 
 
@@ -39,3 +42,18 @@ def haar(rng, m):
     Q, R = np.linalg.qr(Z)
     d = np.diagonal(R)
     return Q * (d / np.abs(d))
+
+
+def evolution_matrix_oracle(S, basis):
+    """Oracle: the entrywise permanent formula that defines the lift."""
+    S = np.asarray(S, dtype=complex)
+    modes = np.arange(basis.m)
+    reps = [np.repeat(modes, state) for state in basis.states]
+    facts = [math.prod(math.factorial(x) for x in state) for state in basis.states]
+    M = len(basis)
+    U = np.empty((M, M), dtype=complex)
+    for q in range(M):
+        for p in range(M):
+            U[p, q] = (permanent(S[np.ix_(reps[p], reps[q])])
+                       / math.sqrt(facts[p] * facts[q]))
+    return U

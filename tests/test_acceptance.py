@@ -16,7 +16,7 @@ import pytest
 import scipy.linalg
 
 import golden
-from conftest import haar
+from conftest import evolution_matrix_oracle, haar
 from optiq import serialize
 from optiq.approx import approximate, derive_seed, haar_random, multi_start
 from optiq.circuit import decompose, reconstruct
@@ -92,12 +92,14 @@ def test_criterion_3_local_optima(image22):
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_criterion_4_homomorphism_suite(m, n):
-    with criterion(4, f"group and algebra lift identities at (m, n) = ({m}, {n})"):
+    with criterion(4, f"lift matches the permanent oracle; group and algebra "
+                      f"identities at (m, n) = ({m}, {n})"):
         basis = enumerate_basis(m, n)
         rng = np.random.default_rng(1000 + 10 * m + n)
         for _ in range(50):
             S1, S2 = haar(rng, m), haar(rng, m)
             U1 = evolution_matrix(S1, basis)
+            assert np.linalg.norm(U1 - evolution_matrix_oracle(S1, basis)) < 1e-9
             assert np.linalg.norm(
                 evolution_matrix(S1 @ S2, basis) - U1 @ evolution_matrix(S2, basis)) < 1e-9
             assert np.linalg.norm(

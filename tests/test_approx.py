@@ -6,8 +6,7 @@ import pytest
 import golden
 from conftest import haar
 from optiq.approx import (approximate, derive_seed, fidelity_bound,
-                          haar_random, haar_spacing_test, multi_start,
-                          u2_spacing, u2_spacing_cdf)
+                          haar_random, multi_start)
 from optiq.errors import ShapeError, UnitarityError
 from optiq.homomorphism import evolution_matrix
 from optiq.lie import distance
@@ -124,6 +123,12 @@ class TestHaarRandom:
         # independently of the sampler under test
         from scipy.stats import chi2
 
+        def spacing(U):
+            # circular distance in [0, pi] between the two eigenphases
+            a, b = np.angle(np.linalg.eigvals(U))
+            delta = abs(a - b) % (2 * np.pi)
+            return min(delta, 2 * np.pi - delta)
+
         def oracle_samples(count, seed):
             rng = np.random.default_rng(seed)
             q = rng.uniform(0, 1, size=count)
@@ -137,7 +142,7 @@ class TestHaarRandom:
             return (lo + hi) / 2
 
         n = 10_000
-        observed = np.array([u2_spacing(haar_random(2, derive_seed(314, i)))
+        observed = np.array([spacing(haar_random(2, derive_seed(314, i)))
                              for i in range(n)])
         reference = oracle_samples(n, 2718)
         edges = np.quantile(reference, np.linspace(0, 1, 21))
@@ -146,14 +151,6 @@ class TestHaarRandom:
         b, _ = np.histogram(reference, bins=edges)
         stat = np.sum((a - b) ** 2 / (a + b))
         assert stat < chi2.ppf(0.99, len(a) - 1)
-
-    def test_builtin_spacing_test(self):
-        stat, threshold, passed = haar_spacing_test(2000, rng_seed=5)
-        assert passed and stat < threshold
-
-    def test_spacing_cdf_endpoints(self):
-        assert u2_spacing_cdf(0.0) == 0.0
-        assert u2_spacing_cdf(np.pi) == pytest.approx(1.0)
 
 
 class TestMultiStart:

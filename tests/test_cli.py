@@ -95,6 +95,17 @@ class TestApproximateCommand:
         assert run(args[:-1] + ["400", "-o", str(tmp_path / "b.json")]) == 0
         assert "did not converge" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option,value", [
+        ("--starts", "0"), ("--tol", "0"), ("--max-iter", "0"), ("--cluster-tol", "0"),
+    ])
+    def test_bad_run_option_exits_1(self, tmp_path, capsys, qft3_file, option, value):
+        out = tmp_path / "report.json"
+        assert run(["approximate", qft3_file, "-m", "2", "-n", "2",
+                    option, value, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_replay_detects_tampering(self, tmp_path, qft3_file, order_file):
         out = tmp_path / "report.json"
         run(["approximate", qft3_file, "-m", "2", "-n", "2",
@@ -116,9 +127,12 @@ CONFIG = {"m": 2, "n": 2, "ordering": "lex_desc", "tol": 1e-10, "max_iter": 400,
     ("replay", {"config": CONFIG, "clusters": []}),
     ("replay", {"config": {**CONFIG, "ordering": 5}, "clusters": [],
                 "target": serialize.matrix_to_obj(np.eye(3))}),
+    ("replay", {"config": CONFIG, "clusters": [],
+                "target": {**serialize.matrix_to_obj(np.eye(3)), "dim": [3]}}),
     ("approximate", 5),
+    ("approximate", [[2.7, 0], [0, 2], [1, 1]]),
 ], ids=["empty-config", "list-report", "no-target", "config-ordering-int",
-        "ordering-file-int"])
+        "target-dim-list", "ordering-file-int", "ordering-file-float"])
 def test_malformed_input_exits_1(tmp_path, capsys, qft3_file, command, content):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))
@@ -211,13 +225,6 @@ class TestDecomposeCommand:
         from optiq.circuit import reconstruct
         S = serialize.load_matrix(src)
         assert np.linalg.norm(reconstruct(plan) - S) < 1e-9
-
-
-class TestSpacingCommand:
-    def test_passes(self, capsys):
-        assert run(["spacing-test", "--samples", "1000", "--seed", "4",
-                    "--bins", "10"]) == 0
-        assert "pass" in capsys.readouterr().out
 
 
 def test_stdout_output(capsys):

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from optiq.errors import (DimensionOverflowError, InvalidOrderingError,
@@ -45,6 +46,7 @@ def test_enumerate_explicit_order():
     basis = enumerate_basis(2, 2, ordering=order)
     assert basis.states == ((2, 0), (0, 2), (1, 1))
     assert basis.ordering == "explicit"
+    assert enumerate_basis(2, 2, ordering=np.array(order)).states == basis.states
 
 
 def test_enumerate_rejects_bad_orderings():
@@ -60,6 +62,10 @@ def test_enumerate_rejects_bad_orderings():
         enumerate_basis(2, 2, ordering=5)  # not a state list
     with pytest.raises(InvalidOrderingError):
         enumerate_basis(2, 2, ordering=[(2, 0), (0, 2), (1, "x")])  # not ints
+    with pytest.raises(InvalidOrderingError):
+        enumerate_basis(2, 2, ordering=[(2.7, 0), (0, 2), (1, 1)])  # float
+    with pytest.raises(InvalidOrderingError):
+        enumerate_basis(2, 2, ordering=[(2, 0), (0, 2), (True, True)])  # bool
 
 
 def test_enumerate_dimension_cap():

@@ -1,12 +1,11 @@
 import itertools
-import math
 import random
 
 import numpy as np
 import pytest
 
 import golden
-from conftest import haar
+from conftest import evolution_matrix_oracle, haar
 from optiq.errors import ShapeError
 from optiq.fock import enumerate_basis
 from optiq.homomorphism import (evolution_matrix, exp_lift, permanent,
@@ -22,21 +21,6 @@ def permanent_naive(A):
     for perm in itertools.permutations(range(k)):
         total += np.prod([A[i, perm[i]] for i in range(k)])
     return total
-
-
-def evolution_matrix_oracle(S, basis):
-    """Oracle: the entrywise permanent formula that defines the lift."""
-    S = np.asarray(S, dtype=complex)
-    modes = np.arange(basis.m)
-    reps = [np.repeat(modes, state) for state in basis.states]
-    facts = [math.prod(math.factorial(x) for x in state) for state in basis.states]
-    M = len(basis)
-    U = np.empty((M, M), dtype=complex)
-    for q in range(M):
-        for p in range(M):
-            U[p, q] = (permanent(S[np.ix_(reps[p], reps[q])])
-                       / math.sqrt(facts[p] * facts[q]))
-    return U
 
 
 def shuffled(m, n, seed):
