@@ -30,7 +30,7 @@ from .errors import (NumericalInstabilityError, OptiqError, ShapeError,
                      UnitarityError)
 from .fock import FockBasis, enumerate_basis
 from .lie import build_image_basis, distance
-from .validate import require_unitary
+from .validate import require_int, require_unitary
 
 REPORT_VERSION = 1
 
@@ -60,9 +60,11 @@ class RunConfig:
     @classmethod
     def from_obj(cls, obj: dict) -> "RunConfig":
         try:
-            return cls(m=int(obj["m"]), n=int(obj["n"]), ordering=obj["ordering"],
-                       tol=float(obj["tol"]), max_iter=int(obj["max_iter"]),
-                       starts=int(obj["starts"]), rng_seed=int(obj["rng_seed"]),
+            return cls(m=require_int(obj["m"]), n=require_int(obj["n"]),
+                       ordering=obj["ordering"], tol=float(obj["tol"]),
+                       max_iter=require_int(obj["max_iter"]),
+                       starts=require_int(obj["starts"]),
+                       rng_seed=require_int(obj["rng_seed"]),
                        cluster_tol=float(obj["cluster_tol"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise OptiqError(f"malformed run configuration: {exc!r}") from None

@@ -10,10 +10,10 @@ specific order is required (reference data sets often fix their own).
 from __future__ import annotations
 
 import math
-import operator
 from typing import Iterator, Sequence
 
 from .errors import DimensionOverflowError, InvalidOrderingError, UnknownStateError
+from .validate import require_int
 
 DEFAULT_ORDERING = "lex_desc"
 
@@ -40,13 +40,6 @@ def dimension(m: int, n: int) -> int:
     return math.comb(m + n - 1, n)
 
 
-def _occupation(x) -> int:
-    """An int or numpy integer as a Python int; bools and floats are refused."""
-    if isinstance(x, bool):
-        raise TypeError(f"occupation {x!r} is not an integer")
-    return operator.index(x)
-
-
 def _compositions(m: int, n: int) -> Iterator[tuple[int, ...]]:
     """All weak compositions of n into m parts, lexicographically descending."""
     if m == 1:
@@ -71,7 +64,7 @@ class FockBasis:
         self.m = int(m)
         self.n = int(n)
         try:
-            self.states = tuple(tuple(map(_occupation, s)) for s in states)
+            self.states = tuple(tuple(map(require_int, s)) for s in states)
         except TypeError as exc:
             raise InvalidOrderingError(f"malformed state list: {exc}") from None
         self.ordering = ordering
@@ -101,7 +94,11 @@ class FockBasis:
 
     def index_of(self, state: Sequence[int]) -> int:
         """Position of ``state`` in the enumeration (dictionary lookup)."""
-        key = tuple(int(x) for x in state)
+        try:
+            key = tuple(map(require_int, state))
+        except TypeError:
+            raise UnknownStateError(f"{state!r} is not a vector of integer "
+                                    "occupations") from None
         try:
             return self._index[key]
         except KeyError:

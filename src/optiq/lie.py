@@ -7,11 +7,14 @@ lifts the canonical basis of u(m) in one stacked call, factors the Gram
 matrix of the lifts as L L^T (Cholesky) and applies L^{-1} to the lifts and
 to their u(m) preimages alike. That is Gram-Schmidt in generator order with
 positive pivots, and it keeps the preimage of every element, so projections
-can be pulled back to mode space exactly.
+can be pulled back to mode space exactly. :func:`principal_log` diagonalizes
+a unitary through one Hermitian ``eigh`` of a shifted Cayley transform.
 """
 
 from __future__ import annotations
 
+import cmath
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +33,17 @@ GRAM_SCHMIDT_DROP_TOL = 1e-8
 #: indicate non-anti-Hermitian input or a corrupted basis.
 COEFF_IMAG_TOL = 1e-9
 
+#: First Cayley shift of principal_log: the pole -e^{0.6i} sits at about
+#: -146 degrees, away from +-1, +-i and the cube roots of unity.
+CAYLEY_SHIFT = 0.6
+
+#: A Cayley pass's error grows like eps * |tan|^2. principal_log keeps a
+#: pass with every |tan| up to CAYLEY_BOUND (this matches a Schur-form log
+#: to roundoff); past CAYLEY_POLE_BOUND (a pole within 2e-5 of an
+#: eigenvalue) its angles are too wrong to place the next pole by.
+CAYLEY_BOUND = 100.0
+CAYLEY_POLE_BOUND = 1e5
+
 
 def inner(u, v) -> float:
     """Real inner product (1/2) tr(u† v + v† u); inner(u, u) = ||u||_F^2."""
@@ -47,22 +61,61 @@ def distance(A, B) -> float:
     return float(np.linalg.norm(A - B))
 
 
+def _cayley_eigh(U, alpha):
+    """Eigenpairs of H = i(s - U)(s + U)^{-1}, s = e^{i alpha}, from one LU
+    solve and one ``eigh``; this is the Cayley transform of e^{-i alpha} U."""
+    s = cmath.exp(1j * alpha) * np.eye(len(U))
+    return np.linalg.eigh(np.linalg.solve(s + U, 1j * (s - U)))
+
+
+def _eigen_angles(U, Q):
+    """Angles of diag(Q† U Q) in (-pi, pi]; an exact -1 maps to +pi."""
+    z = (Q.conj() * (U @ Q)).sum(axis=0)
+    # np.angle gives -pi for imaginary part -0.0
+    return np.where((z.imag == 0) & (z.real < 0), np.pi, np.angle(z))
+
+
 def principal_log(U) -> np.ndarray:
     """Principal logarithm of a unitary matrix.
 
     Returns the anti-Hermitian v with exp(v) = U whose eigenvalues i*theta
-    all have theta in (-pi, pi]. Computed from the Schur form, which is
-    diagonal for unitary input with orthonormal eigenvectors even under
-    degeneracy; an exact eigenvalue -1 maps to angle +pi. Both signs of pi
-    give a minimal-norm logarithm, so for inputs whose -1 eigenvalue carries
-    roundoff the branch follows the perturbed angle.
+    all have theta in (-pi, pi]. For unitary U the Cayley transform
+    H = i(I - W)(I + W)^{-1} of W = e^{-i alpha} U is Hermitian, shares the
+    eigenvectors of U and has eigenvalues tan((theta - alpha)/2), with a
+    pole at the eigenvalue -e^{i alpha} (Higham, *Functions of Matrices*,
+    SIAM 2008, ch. 11). ``eigh`` of H gives eigenvectors Q, orthonormal even
+    under degeneracy; theta is read from diag(Q† U Q), and
+    v = Q diag(i theta) Q† is anti-Hermitized.
+
+    Shift rule: the first pass takes alpha = CAYLEY_SHIFT and is kept when
+    every |tan| is at most CAYLEY_BOUND. Otherwise the pole moves to the
+    middle of the widest gap between the angles just read, at least
+    2 pi / M wide, and a second pass keeps every |tan| within about
+    cot(pi / 2M). A first pass whose solve is exactly singular, or whose
+    largest |tan| exceeds CAYLEY_POLE_BOUND, is retried at
+    alpha = CAYLEY_SHIFT + k, k = 1, 2, ...; these poles are distinct, so
+    at most M of them can fail.
+
+    Branch: an exact eigenvalue -1 maps to angle +pi. A -1 that carries
+    roundoff takes the sign of its perturbation; both signs of pi give a
+    minimal-norm logarithm.
     """
     U = require_unitary(U, "principal_log input")
-    T, Q = scipy.linalg.schur(U, output="complex")
-    # np.angle lands in [-float(pi), float(pi)]; both endpoints represent
-    # reals strictly inside (-pi, pi] because float(pi) < pi, so no folding
-    # is needed and an exact -1 eigenvalue (imaginary part +0.0) maps to +pi.
-    theta = np.angle(np.diagonal(T))
+    for k in itertools.count():
+        try:
+            tans, Q = _cayley_eigh(U, CAYLEY_SHIFT + k)
+        except np.linalg.LinAlgError:
+            continue
+        worst = np.abs(tans).max()
+        if worst <= CAYLEY_POLE_BOUND:  # False for NaN
+            break
+    theta = _eigen_angles(U, Q)
+    if worst > CAYLEY_BOUND:
+        ordered = np.sort(theta)
+        gaps = np.diff(ordered, append=ordered[0] + 2 * np.pi)
+        j = np.argmax(gaps)
+        _, Q = _cayley_eigh(U, ordered[j] + gaps[j] / 2 - np.pi)
+        theta = _eigen_angles(U, Q)
     v = (Q * (1j * theta)) @ Q.conj().T
     return (v - v.conj().T) / 2.0
 
@@ -175,14 +228,16 @@ def project(v, image_basis: ImageBasis):
         raise ShapeError(
             f"cannot project shape {v.shape} onto a basis of shape "
             f"{image_basis.elements.shape[1:]}")
-    # conj(sum e * conj(v)) is tr(e† v) without a conjugated copy of the basis
-    t = np.einsum("kij,ij->k", image_basis.elements, v.conj()).conj()
+    E = image_basis.elements.reshape(len(image_basis), -1)
+    # conj(E conj(v)) is tr(e† v) without a conjugated copy of the basis
+    t = (E @ v.conj().ravel()).conj()
     worst = float(np.max(np.abs(t.imag))) if len(t) else 0.0
     if worst > COEFF_IMAG_TOL:
         raise InternalConsistencyError(
             f"projection coefficients have imaginary residue {worst:.3e}; "
             "input is probably not anti-Hermitian")
     coeffs = np.ascontiguousarray(t.real)
-    v_T = np.einsum("k,kij->ij", coeffs, image_basis.elements)
+    # real coefficients times the (re, im) float view: one real matvec
+    v_T = (coeffs @ E.view(float)).view(complex).reshape(v.shape)
     v_N = v - v_T
     return v_T, v_N, coeffs

@@ -6,6 +6,8 @@ files, CLI arguments and top-level library calls.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import ShapeError, UnitarityError
@@ -20,6 +22,14 @@ def as_complex_matrix(A, name: str = "matrix") -> np.ndarray:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeError(f"{name} must be a square matrix, got shape {A.shape}")
     return A
+
+
+def require_int(x) -> int:
+    """An int or numpy integer as a Python int; bool, float and str raise
+    TypeError. A type test, cheap enough for per-entry use."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is not an integer")
+    return operator.index(x)
 
 
 def require_same_shape(A: np.ndarray, B: np.ndarray, name: str = "operands") -> None:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import golden
 from optiq.fock import enumerate_basis
@@ -42,6 +43,16 @@ def haar(rng, m):
     Q, R = np.linalg.qr(Z)
     d = np.diagonal(R)
     return Q * (d / np.abs(d))
+
+
+def schur_log(U, branch=0):
+    """Oracle: the principal logarithm from the complex Schur form, which is
+    diagonal for unitary U. ``branch`` (0 or 1 per eigenvalue, in Schur
+    order) adds 2 pi to those angles, giving the other logarithms of U."""
+    T, Q = scipy.linalg.schur(U, output="complex")
+    theta = np.angle(np.diagonal(T)) + 2 * np.pi * np.asarray(branch)
+    v = (Q * (1j * theta)) @ Q.conj().T
+    return (v - v.conj().T) / 2.0
 
 
 def evolution_matrix_oracle(S, basis):

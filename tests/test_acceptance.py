@@ -13,10 +13,9 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import golden
-from conftest import evolution_matrix_oracle, haar
+from conftest import evolution_matrix_oracle, haar, schur_log
 from optiq import serialize
 from optiq.approx import approximate, derive_seed, haar_random, multi_start
 from optiq.circuit import decompose, reconstruct
@@ -136,12 +135,10 @@ def test_criterion_6_principal_log_contract():
         for _ in range(10):
             U = haar(rng, 3)
             v = principal_log(U)
-            T, Q = scipy.linalg.schur(U, output="complex")
-            theta = np.angle(np.diagonal(T))
             for mask in itertools.product((0, 1), repeat=3):
                 if not any(mask):
                     continue
-                w = (Q * (1j * (theta + 2 * np.pi * np.array(mask)))) @ Q.conj().T
+                w = schur_log(U, mask)
                 assert distance(matrix_exp(w), U) < 1e-9
                 assert np.linalg.norm(v) <= np.linalg.norm(w) + 1e-12
 

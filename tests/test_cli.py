@@ -131,8 +131,12 @@ CONFIG = {"m": 2, "n": 2, "ordering": "lex_desc", "tol": 1e-10, "max_iter": 400,
                 "target": {**serialize.matrix_to_obj(np.eye(3)), "dim": [3]}}),
     ("approximate", 5),
     ("approximate", [[2.7, 0], [0, 2], [1, 1]]),
+    *[("replay", {"config": {**CONFIG, key: value}, "clusters": [],
+                  "target": serialize.matrix_to_obj(np.eye(3))})
+      for key, value in [("m", 2.9), ("starts", True), ("max_iter", 400.7)]],
 ], ids=["empty-config", "list-report", "no-target", "config-ordering-int",
-        "target-dim-list", "ordering-file-int", "ordering-file-float"])
+        "target-dim-list", "ordering-file-int", "ordering-file-float",
+        "config-m-float", "config-starts-bool", "config-max-iter-float"])
 def test_malformed_input_exits_1(tmp_path, capsys, qft3_file, command, content):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))

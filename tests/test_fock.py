@@ -83,6 +83,14 @@ def test_index_of():
     assert enumerate_basis(3, 2).index_of((0, 1, 1)) == 4
     with pytest.raises(UnknownStateError):
         basis.index_of((3, 0))
+    assert basis.index_of(np.array([0, 2])) == 1
+
+
+@pytest.mark.parametrize("state", [(2.7, 0), (2.0, 0), (True, True), ("2", 0), 5],
+                         ids=["float", "integral-float", "bool", "str", "scalar"])
+def test_index_of_rejects_non_integer_entries(state):
+    with pytest.raises(UnknownStateError):
+        enumerate_basis(2, 2).index_of(state)
 
 
 @pytest.mark.parametrize("m", range(1, 6))

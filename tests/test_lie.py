@@ -2,10 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import golden
-from conftest import haar
+from conftest import haar, schur_log
+from optiq import lie
 from optiq.errors import InternalConsistencyError, RankDeficiencyError, ShapeError
 from optiq.fock import enumerate_basis
 from optiq.homomorphism import evolution_matrix, second_quantize
@@ -92,15 +92,69 @@ class TestPrincipalLog:
         for _ in range(10):
             U = haar(rng, 3)
             v = principal_log(U)
-            T, Q = scipy.linalg.schur(U, output="complex")
-            theta = np.angle(np.diagonal(T))
             for mask in itertools.product((0, 1), repeat=3):
                 if not any(mask):
                     continue
-                shifted = theta + 2 * np.pi * np.array(mask)
-                w = (Q * (1j * shifted)) @ Q.conj().T
+                w = schur_log(U, mask)
                 assert distance(matrix_exp(w), U) < 1e-9
                 assert np.linalg.norm(v) <= np.linalg.norm(w) + 1e-12
+
+    @pytest.mark.parametrize("M", [3, 10, 35, 70])
+    def test_matches_schur_oracle(self, M):
+        rng = np.random.default_rng(40 + M)
+        for _ in range(20):
+            U = haar(rng, M)
+            assert np.max(np.abs(principal_log(U) - schur_log(U))) < 1e-12
+
+    def test_degenerate_spectra(self):
+        # a diagonal phase lifts to a diagonal U with repeated eigenvalues
+        basis = enumerate_basis(3, 3)
+        U = evolution_matrix(np.diag(np.exp([0.3j, 0.3j, -0.5j])), basis)
+        assert np.max(np.abs(principal_log(U) - schur_log(U))) < 1e-12
+        # the unitary 8-point DFT has eigenvalues +-1 and +-i, each repeated;
+        # its -1 carries roundoff, so either sign of pi is a principal angle
+        F = np.fft.fft(np.eye(8)) / np.sqrt(8)
+        v = principal_log(F)
+        assert distance(matrix_exp(v), F) < 1e-12
+        assert np.linalg.norm(v + v.conj().T) < 1e-12
+        assert np.linalg.norm(v) == pytest.approx(np.linalg.norm(schur_log(F)), abs=1e-12)
+        assert np.max(np.abs(np.linalg.eigvalsh(-1j * v))) <= np.pi + 1e-12
+
+    @pytest.mark.parametrize("offset,rotate", [
+        (0.0, False), (0.0, True), (1e-6, True), (1e-3, True),
+    ], ids=["exact-diagonal", "exact-rotated", "within-1e-6", "within-1e-3"])
+    def test_eigenvalue_near_first_pole(self, monkeypatch, offset, rotate):
+        shifts = []
+        cayley_eigh = lie._cayley_eigh
+
+        def recorded(U, alpha):
+            shifts.append(alpha)
+            return cayley_eigh(U, alpha)
+
+        monkeypatch.setattr(lie, "_cayley_eigh", recorded)
+        rng = np.random.default_rng(41)
+        pole = -np.exp(1j * (lie.CAYLEY_SHIFT + offset))
+        phases = np.append(pole, np.exp(1j * np.linspace(-0.4, 2.9, 9)))
+        Q = haar(rng, 10) if rotate else np.eye(10)
+        U = (Q * phases) @ Q.conj().T
+        assert np.max(np.abs(principal_log(U) - schur_log(U))) < 1e-12
+        assert shifts[0] == lie.CAYLEY_SHIFT and len(shifts) == 2
+        if offset < 1e-5:
+            # a singular or nearly singular first pass retries the next shift
+            assert shifts[1] == lie.CAYLEY_SHIFT + 1
+        else:
+            # the second pole sits mid-gap, at least half the widest gap
+            # (here > 2 pi / 10) from every eigenvalue
+            second_pole = -np.exp(1j * shifts[1])
+            assert np.min(np.abs(phases - second_pole)) > 2 * np.sin(np.pi / 20)
+
+    def test_exact_minus_one_maps_to_plus_pi(self):
+        U = np.diag([-1.0, np.exp(0.4j), np.exp(-1.1j)])
+        assert principal_log(U)[0, 0] == pytest.approx(1j * np.pi, abs=1e-15)
+        # a swap has eigenvectors (1, -1)/sqrt(2); the -1 it reads is real
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        want = 0.5j * np.pi * np.array([[1, -1], [-1, 1]])
+        assert np.max(np.abs(principal_log(swap) - want)) < 1e-12
 
     def test_rejects_non_unitary(self):
         from optiq.errors import UnitarityError
@@ -209,6 +263,18 @@ class TestProject:
         want = np.zeros(len(image22))
         want[0] = 1.0
         assert np.allclose(coeffs, want, atol=1e-12)
+
+    def test_matches_trace_formula(self, image_and_oracle):
+        # coeffs[k] = <e_k, v> and v_T = sum_k coeffs[k] e_k, term by term
+        ib, _ = image_and_oracle
+        rng = np.random.default_rng(13)
+        v = random_anti_hermitian(rng, len(ib.basis))
+        v_T, v_N, coeffs = project(v, ib)
+        want = np.array([inner(e, v) for e in ib.elements])
+        assert np.max(np.abs(coeffs - want)) < 1e-12
+        v_T_want = sum(c * e for c, e in zip(want, ib.elements))
+        assert np.max(np.abs(v_T - v_T_want)) < 1e-12
+        assert np.array_equal(v_N, v - v_T)
 
     def test_reference_projection(self, basis22, image22):
         v_T, _, _ = project(principal_log(golden.QFT3), image22)
