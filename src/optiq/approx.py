@@ -10,6 +10,13 @@ an m x m scattering matrix alongside, so every iterate carries an exact
 witness of membership in the reachable subgroup. Multi-start exploration
 draws Haar-random scattering matrices from per-run derived seeds and
 clusters the fixed points it finds.
+
+One engine runs every start: the iterates of all unfinished starts form one
+(k, M, M) stack, and each step makes one stacked call of the log, the
+projection and each exponential, dropping starts as they converge or reach
+max_iter. :func:`approximate` is the engine with one start. The stacked
+kernels treat each matrix alone, so start i's result depends only on
+(rng_seed, i), whatever k and however the starts are chunked.
 """
 
 from __future__ import annotations
@@ -19,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalInstabilityError, ShapeError
+from .errors import NumericalInstabilityError, OptiqError, ShapeError
 from .homomorphism import evolution_matrix
 from .lie import ImageBasis, distance, matrix_exp, polar_unitary, principal_log, project
-from .validate import require_unitary
+from .validate import frobenius_norm, require_int, require_unitary
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
@@ -42,10 +49,15 @@ MONOTONICITY_SLACK = 1e-6
 #: Bound on ||lift(scattering) - evolution|| for the returned result.
 WITNESS_TOL = 1e-8
 
+#: multi_start runs its starts in chunks whose (k, M, M) stack of
+#: evolutions stays within this many bytes: about 10 000 starts at M = 10,
+#: 200 at M = 70 and 16 at M = 252.
+STACK_BYTES = 16 * 2**20
+
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     """Distance and projection norms observed at one step of a run."""
 
@@ -97,69 +109,114 @@ def approximate(U, start, image_basis: ImageBasis,
     arithmetic guarantees; a violation beyond MONOTONICITY_SLACK raises
     NumericalInstabilityError with the offending step index.
     """
+    return _iterate(U, [start], image_basis, tol, max_iter, keep_matrices)[0]
+
+
+def _iterate(U, starts, image_basis: ImageBasis, tol: float, max_iter: int,
+             keep_matrices: bool = False) -> list[ApproxResult]:
+    """Run the iteration from every start as one stack; one result per start.
+
+    Each start's run makes the same checks, and gets the same bits, as it
+    would alone. When runs fail, the error raised is that of the
+    lowest-index failing start, as if the starts ran one after another: a
+    failing start drops itself and every later start from the stack.
+    """
     fb = image_basis.basis
     U = require_unitary(U, "target")
     if U.shape[0] != len(fb):
         raise ShapeError(
             f"target dimension {U.shape[0]} does not match basis dimension {len(fb)}")
-    S = require_unitary(start, "start")
-    if S.shape[0] != fb.m:
-        raise ShapeError(
-            f"start dimension {S.shape[0]} does not match mode count {fb.m}")
+    S = []
+    for start in starts:
+        start = require_unitary(start, "start")
+        if start.shape[0] != fb.m:
+            raise ShapeError(
+                f"start dimension {start.shape[0]} does not match mode count {fb.m}")
+        S.append(start)
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
+    if require_int(max_iter) < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
+    k = len(S)
+    S = np.array(S)
     Ui = evolution_matrix(S, fb)
-    trace: list[IterationRecord] = []
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    converged = False
-    prev_normal = math.inf
-    for step in range(max_iter + 1):
-        v = principal_log(Ui.conj().T @ U)
-        v_T, v_N, coeffs = project(v, image_basis)
+    rows = np.arange(k)  # the start each row of the stack belongs to
+    prev_normal = np.full(k, math.inf)
+    traces: list[list[IterationRecord]] = [[] for _ in range(k)]
+    pairs: list[list] = [[] for _ in range(k)]
+    final: list = [None] * k  # (scattering, evolution, converged) per start
+    failure = None  # (start, error) of the lowest-index failure so far
+    step = 0
+    while len(rows):
+        try:
+            v = principal_log(Ui.conj().swapaxes(-1, -2) @ U)
+            v_T, v_N, coeffs = project(v, image_basis)
+        except OptiqError as exc:
+            if exc.index is None:
+                raise
+            # that start fails here; the starts before it redo the step
+            failure = (int(rows[exc.index]), exc)
+            S, Ui, rows, prev_normal = (a[:exc.index] for a in (S, Ui, rows, prev_normal))
+            continue
         d = distance(Ui, U)
-        if d > prev_normal + MONOTONICITY_SLACK:
-            raise NumericalInstabilityError(
-                f"distance {d:.12e} exceeds previous normal norm {prev_normal:.12e}",
-                step=step)
-        tangent_norm = float(np.linalg.norm(v_T))
-        normal_norm = float(np.linalg.norm(v_N))
-        if math.hypot(tangent_norm, normal_norm) > prev_normal + MONOTONICITY_SLACK:
-            raise NumericalInstabilityError(
-                f"geodesic norm {math.hypot(tangent_norm, normal_norm):.12e} exceeds "
-                f"previous normal norm {prev_normal:.12e}", step=step)
-        trace.append(IterationRecord(step, d, tangent_norm, normal_norm))
-        if keep_matrices:
-            pairs.append((S.copy(), Ui.copy()))
-        prev_normal = normal_norm
-        if tangent_norm < tol:
-            converged = True
+        tangent, normal = frobenius_norm(v_T), frobenius_norm(v_N)
+        go = []  # rows that take another step
+        for r, (i, d_i, t_i, n_i, p_i) in enumerate(zip(
+                rows.tolist(), d.tolist(), tangent.tolist(), normal.tolist(),
+                prev_normal.tolist())):
+            if d_i > p_i + MONOTONICITY_SLACK:
+                failure = (i, NumericalInstabilityError(
+                    f"distance {d_i:.12e} exceeds previous normal norm {p_i:.12e}",
+                    step=step))
+                break
+            if math.hypot(t_i, n_i) > p_i + MONOTONICITY_SLACK:
+                failure = (i, NumericalInstabilityError(
+                    f"geodesic norm {math.hypot(t_i, n_i):.12e} exceeds "
+                    f"previous normal norm {p_i:.12e}", step=step))
+                break
+            traces[i].append(IterationRecord(step, d_i, t_i, n_i))
+            if keep_matrices:
+                pairs[i].append((S[r].copy(), Ui[r].copy()))
+            if t_i < tol or step == max_iter:
+                final[i] = (S[r].copy(), Ui[r].copy(), t_i < tol)
+            else:
+                go.append(r)
+        if len(go) < len(rows):
+            S, Ui, rows, normal, coeffs, v_T = (a[go] for a in (S, Ui, rows, normal, coeffs, v_T))
+        prev_normal = normal
+        if not go:
             break
-        if step == max_iter:
-            break
-        h = np.einsum("k,kij->ij", coeffs, image_basis.preimages)
+        h = np.einsum("ak,kij->aij", coeffs, image_basis.preimages)
         S = S @ matrix_exp(h)
         Ui = Ui @ matrix_exp(v_T)
         if (step + 1) % REUNITARIZE_EVERY == 0:
             S = polar_unitary(S)
             Ui = polar_unitary(Ui)
+        step += 1
 
-    witness = distance(evolution_matrix(S, fb), Ui)
-    if witness > WITNESS_TOL:
-        raise NumericalInstabilityError(
-            f"scattering-matrix witness drifted to {witness:.3e}",
-            step=trace[-1].step)
-    return ApproxResult(
-        evolution=Ui,
-        scattering=S,
-        final_distance=distance(Ui, U),
-        iterations=trace[-1].step,
+    # every start before the first failure has finished
+    done = final[:k if failure is None else failure[0]]
+    if done:
+        witness = distance(evolution_matrix(np.array([f[0] for f in done]), fb),
+                           np.array([f[1] for f in done]))
+        bad = np.flatnonzero(witness > WITNESS_TOL)
+        if bad.size:
+            i = bad[0]
+            raise NumericalInstabilityError(
+                f"scattering-matrix witness drifted to {witness[i]:.3e}",
+                step=traces[i][-1].step)
+    if failure is not None:
+        raise failure[1]
+    return [ApproxResult(
+        evolution=U_i,
+        scattering=S_i,
+        final_distance=traces[i][-1].distance,
+        iterations=traces[i][-1].step,
         converged=converged,
-        trace=trace,
-        matrix_trace=pairs if keep_matrices else None,
-    )
+        trace=traces[i],
+        matrix_trace=pairs[i] if keep_matrices else None,
+    ) for i, (S_i, U_i, converged) in enumerate(final)]
 
 
 def derive_seed(rng_seed: int, index: int) -> int:
@@ -198,31 +255,36 @@ def multi_start(U, image_basis: ImageBasis, k: int,
                 cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list[tuple[ApproxResult, int]]:
     """Explore local optima from the identity plus k - 1 Haar-random seeds.
 
-    Results whose evolution matrices lie within ``cluster_tol`` in Frobenius
-    distance are grouped; each group is represented by its member with the
-    lowest final distance. Returns (representative, hit count) pairs sorted
-    by final distance ascending. Deterministic in all arguments.
+    The starts run as one batched stack, in consecutive chunks of at most
+    STACK_BYTES of evolutions. Start i draws its seed from (rng_seed, i)
+    and its result depends on nothing else: not on k, nor on the chunking.
+    Results whose evolution matrices lie within ``cluster_tol`` in
+    Frobenius distance are grouped in start order; each group is
+    represented by its member with the lowest final distance. Returns
+    (representative, hit count) pairs sorted by final distance ascending.
+    Deterministic in all arguments. If runs fail, the error is that of the
+    lowest-index failing start.
     """
     if k < 1:
         raise ValueError(f"start count must be >= 1, got {k}")
     if not cluster_tol > 0:
         raise ValueError(f"cluster_tol must be positive, got {cluster_tol}")
-    m = image_basis.basis.m
+    m, M = image_basis.basis.m, len(image_basis.basis)
+    chunk = max(1, STACK_BYTES // (16 * M * M))
     clusters: list[list] = []  # [representative, hit_count]
-    for i in range(k):
-        if i == 0:
-            start = np.eye(m, dtype=complex)
-        else:
-            start = haar_random(m, derive_seed(rng_seed, i))
-        res = approximate(U, start, image_basis, tol, max_iter)
-        for entry in clusters:
-            if distance(entry[0].evolution, res.evolution) < cluster_tol:
-                entry[1] += 1
-                if res.final_distance < entry[0].final_distance:
-                    entry[0] = res
-                break
-        else:
-            clusters.append([res, 1])
+    for first in range(0, k, chunk):
+        starts = [np.eye(m, dtype=complex) if i == 0 else
+                  haar_random(m, derive_seed(rng_seed, i))
+                  for i in range(first, min(k, first + chunk))]
+        for res in _iterate(U, starts, image_basis, tol, max_iter):
+            for entry in clusters:
+                if distance(entry[0].evolution, res.evolution) < cluster_tol:
+                    entry[1] += 1
+                    if res.final_distance < entry[0].final_distance:
+                        entry[0] = res
+                    break
+            else:
+                clusters.append([res, 1])
     clusters.sort(key=lambda entry: entry[0].final_distance)
     return [(entry[0], entry[1]) for entry in clusters]
 

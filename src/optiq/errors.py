@@ -9,7 +9,12 @@ from __future__ import annotations
 
 
 class OptiqError(Exception):
-    """Base class for every package-specific error."""
+    """Base class for every package-specific error. ``index`` is the flat
+    index of the failing matrix when a check on a stack fails."""
+
+    def __init__(self, *args, index: int | None = None):
+        super().__init__(*args)
+        self.index = index
 
 
 class ShapeError(OptiqError):
@@ -19,13 +24,14 @@ class ShapeError(OptiqError):
 class UnitarityError(OptiqError):
     """A matrix expected to be unitary fails the residual check."""
 
-    def __init__(self, residual: float, tol: float, context: str = ""):
+    def __init__(self, residual: float, tol: float, context: str = "",
+                 index: int | None = None):
         self.residual = float(residual)
         self.tol = float(tol)
         msg = f"unitarity residual {self.residual:.6e} exceeds tolerance {self.tol:.3e}"
         if context:
             msg = f"{context}: {msg}"
-        super().__init__(msg)
+        super().__init__(msg, index=index)
 
 
 class DimensionOverflowError(OptiqError):

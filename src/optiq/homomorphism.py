@@ -10,8 +10,7 @@ The algebra-level lift is second quantization, sum_{jk} A[j,k] a†_j a_k.
 Both lifts are computed from one table of creation operators instead: the
 group lift photon by photon from U a†_c U† = sum_j S[j,c] a†_j (Scheel,
 quant-ph/0406127), the algebra lift from a†_j a_k = sum_r a†_j |r><r| a_k.
-:func:`permanent` stays public, and the two lifts cross-validate each other
-through :func:`exp_lift`.
+Both lift a stack (..., m, m) of matrices as well as a single one.
 """
 
 from __future__ import annotations
@@ -20,35 +19,6 @@ import numpy as np
 
 from .errors import ShapeError
 from .fock import FockBasis, _compositions, enumerate_basis
-
-
-def permanent(A) -> complex:
-    """Permanent of a square complex matrix.
-
-    Ryser's formula with Gray-code subset updates, O(2^k k) time. The empty
-    matrix has permanent 1.
-    """
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ShapeError(f"permanent requires a square matrix, got shape {A.shape}")
-    k = A.shape[0]
-    if k == 0:
-        return complex(1.0)
-    rowsum = np.zeros(k, dtype=complex)
-    total = 0.0 + 0.0j
-    parity = 1  # (-1)^{|subset|}, flips once per Gray-code step
-    gray = 0
-    for s in range(1, 1 << k):
-        bit = s & -s
-        j = bit.bit_length() - 1
-        gray ^= bit
-        if gray & bit:
-            rowsum += A[:, j]
-        else:
-            rowsum -= A[:, j]
-        parity = -parity
-        total += parity * rowsum.prod()
-    return complex(total if k % 2 == 0 else -total)
 
 
 def _creation_table(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -62,19 +32,21 @@ def _creation_table(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
 
 
 def evolution_matrix(S, basis: FockBasis) -> np.ndarray:
-    """Lift any m x m scattering matrix to the M x M evolution matrix.
+    """Lift any m x m scattering matrix, or a stack (..., m, m), to the
+    M x M evolution matrix.
 
     Built one photon at a time from the 1 x 1 vacuum lift: column q of the
     k-photon lift is sum_j S[j,c] a†_j applied to column q - e_c of the
     (k-1)-photon lift, divided by sqrt(q_c), with c the first occupied mode
-    of q. The lift is a group homomorphism and preserves unitarity.
+    of q. The lift is a group homomorphism and preserves unitarity. Each
+    matrix of a stack is lifted by the same elementwise arithmetic as alone.
     """
     S = np.asarray(S, dtype=complex)
-    if S.shape != (basis.m, basis.m):
+    if S.shape[-2:] != (basis.m, basis.m):
         raise ShapeError(
             f"scattering matrix shape {S.shape} does not match basis with m={basis.m}")
     m = basis.m
-    U = np.ones((1, 1), dtype=complex)
+    U = np.ones(S.shape[:-2] + (1, 1), dtype=complex)
     for k in range(1, basis.n + 1):
         level = basis if k == basis.n else enumerate_basis(m, k, max_dim=None)
         up, w = _creation_table(level)
@@ -83,9 +55,10 @@ def evolution_matrix(S, basis: FockBasis) -> np.ndarray:
         hit = c[up] == np.arange(m)  # up[r, j] = q with j = c_q, once per q
         src = np.empty(len(level), dtype=int)
         src[up[hit]] = np.nonzero(hit)[0]
-        prev, U = U[:, src], np.zeros((len(level), len(level)), dtype=complex)
+        prev = U[..., src]
+        U = np.zeros(S.shape[:-2] + (len(level), len(level)), dtype=complex)
         for j in range(m):  # the rows up[:, j] are distinct
-            U[up[:, j]] += w[:, j, None] * S[j, c] * prev
+            U[..., up[:, j], :] += w[:, j, None] * S[..., None, j, c] * prev
         # dividing last keeps e.g. the identity lift exactly the identity
         U /= np.sqrt(occ[np.arange(len(level)), c])
     return U
@@ -113,9 +86,3 @@ def second_quantize(A, basis: FockBasis) -> np.ndarray:
     out[..., diag, diag] = (np.diagonal(A, axis1=-2, axis2=-1)[..., None, :] * occ).sum(-1)
     return out
 
-
-def exp_lift(A, basis: FockBasis) -> np.ndarray:
-    """exp(second_quantize(A)); equals evolution_matrix(exp(A)) for A in u(m)."""
-    from .lie import matrix_exp  # deferred: lie builds on this module
-
-    return matrix_exp(second_quantize(A, basis))

@@ -9,12 +9,17 @@ to their u(m) preimages alike. That is Gram-Schmidt in generator order with
 positive pivots, and it keeps the preimage of every element, so projections
 can be pulled back to mode space exactly. :func:`principal_log` diagonalizes
 a unitary through one Hermitian ``eigh`` of a shifted Cayley transform.
+
+:func:`principal_log`, :func:`matrix_exp`, :func:`polar_unitary`,
+:func:`project` and :func:`distance` also take a stack (..., M, M) and act
+on each matrix of it alone: every product, factorization and norm is a
+per-matrix LAPACK or BLAS call, so a matrix gets the same bits in a stack
+of any size as on its own.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +28,8 @@ import scipy.linalg
 from .errors import InternalConsistencyError, RankDeficiencyError, ShapeError
 from .fock import FockBasis
 from .homomorphism import second_quantize
-from .validate import as_complex_matrix, require_same_shape, require_unitary
+from .validate import (as_complex_matrix, frobenius_norm, require_same_shape,
+                       require_unitary)
 
 #: A Cholesky pivot (the norm a Gram-Schmidt vector keeps after
 #: orthogonalization) below this signals a rank-deficient lift.
@@ -53,30 +59,54 @@ def inner(u, v) -> float:
     return float(np.real(np.sum(np.conj(u) * v)))
 
 
-def distance(A, B) -> float:
-    """Frobenius distance ||A - B||_F."""
+def distance(A, B):
+    """Frobenius distance ||A - B||_F; for a stack A, one per matrix, with B
+    a stack of the same shape or one matrix for all."""
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
-    require_same_shape(A, B, "distance operands")
-    return float(np.linalg.norm(A - B))
+    if B.ndim != 2 or A.shape[-2:] != B.shape:
+        require_same_shape(A, B, "distance operands")
+    return frobenius_norm(A - B)
+
+
+def _dagger(A):
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return A.conj().swapaxes(-1, -2)
 
 
 def _cayley_eigh(U, alpha):
     """Eigenpairs of H = i(s - U)(s + U)^{-1}, s = e^{i alpha}, from one LU
-    solve and one ``eigh``; this is the Cayley transform of e^{-i alpha} U."""
-    s = cmath.exp(1j * alpha) * np.eye(len(U))
+    solve and one ``eigh`` per matrix of the stack U; this is the Cayley
+    transform of e^{-i alpha} U. ``alpha`` is one shift or one per matrix."""
+    if isinstance(alpha, np.ndarray):
+        z = np.array([cmath.exp(1j * a) for a in alpha])[:, None, None]
+    else:
+        z = cmath.exp(1j * alpha)
+    s = z * np.eye(U.shape[-1])
     return np.linalg.eigh(np.linalg.solve(s + U, 1j * (s - U)))
+
+
+def _cayley_pass(U, alpha):
+    """:func:`_cayley_eigh` of a stack U at the one shift alpha, with NaN
+    tangents for each matrix whose solve is exactly singular (LAPACK then
+    fails the whole stack)."""
+    try:
+        return _cayley_eigh(U, alpha)
+    except np.linalg.LinAlgError:
+        if len(U) == 1:
+            return np.full(U.shape[:-1], np.nan), np.zeros_like(U)
+    return tuple(map(np.concatenate, zip(*(_cayley_pass(u[None], alpha) for u in U))))
 
 
 def _eigen_angles(U, Q):
     """Angles of diag(Q† U Q) in (-pi, pi]; an exact -1 maps to +pi."""
-    z = (Q.conj() * (U @ Q)).sum(axis=0)
+    z = (Q.conj() * (U @ Q)).sum(axis=-2)
     # np.angle gives -pi for imaginary part -0.0
     return np.where((z.imag == 0) & (z.real < 0), np.pi, np.angle(z))
 
 
 def principal_log(U) -> np.ndarray:
-    """Principal logarithm of a unitary matrix.
+    """Principal logarithm of a unitary matrix, or of each of a stack.
 
     Returns the anti-Hermitian v with exp(v) = U whose eigenvalues i*theta
     all have theta in (-pi, pi]. For unitary U the Cayley transform
@@ -99,40 +129,58 @@ def principal_log(U) -> np.ndarray:
     Branch: an exact eigenvalue -1 maps to angle +pi. A -1 that carries
     roundoff takes the sign of its perturbation; both signs of pi give a
     minimal-norm logarithm.
+
+    On a stack, each matrix is checked for unitarity (the error names the
+    first that fails), and the retries and the mid-gap pass run only on the
+    matrices that need them.
     """
-    U = require_unitary(U, "principal_log input")
-    for k in itertools.count():
-        try:
-            tans, Q = _cayley_eigh(U, CAYLEY_SHIFT + k)
-        except np.linalg.LinAlgError:
-            continue
-        worst = np.abs(tans).max()
-        if worst <= CAYLEY_POLE_BOUND:  # False for NaN
-            break
-    theta = _eigen_angles(U, Q)
-    if worst > CAYLEY_BOUND:
-        ordered = np.sort(theta)
-        gaps = np.diff(ordered, append=ordered[0] + 2 * np.pi)
-        j = np.argmax(gaps)
-        _, Q = _cayley_eigh(U, ordered[j] + gaps[j] / 2 - np.pi)
-        theta = _eigen_angles(U, Q)
-    v = (Q * (1j * theta)) @ Q.conj().T
-    return (v - v.conj().T) / 2.0
+    U = require_unitary(U, "principal_log input", stack=True)
+    flat = U.reshape((-1,) + U.shape[-2:])
+    tans, Q = _cayley_pass(flat, CAYLEY_SHIFT)
+    worst = np.abs(tans).max(axis=-1)
+    k = 0
+    while not (worst <= CAYLEY_POLE_BOUND).all():  # also NaN
+        k += 1
+        retry = np.flatnonzero(~(worst <= CAYLEY_POLE_BOUND))
+        tans, Q[retry] = _cayley_pass(flat[retry], CAYLEY_SHIFT + k)
+        worst[retry] = np.abs(tans).max(axis=-1)
+    theta = _eigen_angles(flat, Q)
+    wide = worst > CAYLEY_BOUND
+    if wide.any():
+        # a view, not a copy, when every matrix needs the pass
+        wide = slice(None) if wide.all() else np.flatnonzero(wide)
+        U_wide, ordered = flat[wide], np.sort(theta[wide], axis=-1)
+        gaps = np.diff(ordered, axis=-1, append=ordered[:, :1] + 2 * np.pi)
+        r, j = np.arange(len(ordered)), gaps.argmax(axis=-1)
+        _, Q_wide = _cayley_eigh(U_wide, ordered[r, j] + gaps[r, j] / 2 - np.pi)
+        Q[wide], theta[wide] = Q_wide, _eigen_angles(U_wide, Q_wide)
+    v = (Q * (1j * theta)[:, None, :]) @ _dagger(Q)
+    return ((v - _dagger(v)) / 2.0).reshape(U.shape)
 
 
 def matrix_exp(v) -> np.ndarray:
-    """exp(v) for anti-Hermitian v, via eigendecomposition of Hermitian -i v."""
-    v = as_complex_matrix(v, "matrix_exp input")
+    """exp(v) for anti-Hermitian v, or each of a stack, via eigendecomposition
+    of Hermitian -i v."""
+    v = as_complex_matrix(v, "matrix_exp input", stack=True)
     H = -1j * v
-    H = (H + H.conj().T) / 2.0
+    H = (H + _dagger(H)) / 2.0
     w, W = np.linalg.eigh(H)
-    return (W * np.exp(1j * w)) @ W.conj().T
+    return (W * np.exp(1j * w)[..., None, :]) @ _dagger(W)
 
 
 def polar_unitary(A) -> np.ndarray:
-    """Closest unitary in Frobenius norm: the unitary polar factor, via SVD."""
-    A = as_complex_matrix(A, "polar input")
-    W, _, Vh = np.linalg.svd(A)
+    """Closest unitary in Frobenius norm, or to each of a stack: the polar
+    factor W Vh of the SVD A = W diag(s) Vh. LAPACK's gesdd can fail to
+    converge on a finite, nearly unitary matrix; then each matrix of a stack
+    is factored alone, and one that fails again takes the slower gesvd."""
+    A = as_complex_matrix(A, "polar input", stack=True)
+    try:
+        W, _, Vh = np.linalg.svd(A)
+    except np.linalg.LinAlgError:
+        if A.ndim > 2:
+            flat = A.reshape((-1,) + A.shape[-2:])
+            return np.reshape([polar_unitary(a) for a in flat], A.shape)
+        W, _, Vh = scipy.linalg.svd(A, lapack_driver="gesvd")
     return W @ Vh
 
 
@@ -216,28 +264,34 @@ def build_image_basis(basis: FockBasis) -> ImageBasis:
 
 
 def project(v, image_basis: ImageBasis):
-    """Orthogonal decomposition of v against the image subalgebra.
+    """Orthogonal decomposition of v, or of each of a stack, against the
+    image subalgebra.
 
     Returns ``(v_T, v_N, coeffs)`` with v_T = sum coeffs[i] * elements[i],
-    v_N = v - v_T, and coeffs real. The coefficients of an anti-Hermitian v
-    against anti-Hermitian basis elements are real in exact arithmetic; a
-    noticeable imaginary residue raises InternalConsistencyError.
+    v_N = v - v_T, and coeffs real, with coeffs of shape (..., len(basis))
+    for a stack. The coefficients of an anti-Hermitian v against
+    anti-Hermitian basis elements are real in exact arithmetic; a noticeable
+    imaginary residue raises InternalConsistencyError, which names the first
+    failing matrix of a stack.
     """
-    v = as_complex_matrix(v, "projection input")
-    if v.shape != image_basis.elements.shape[1:]:
+    v = as_complex_matrix(v, "projection input", stack=True)
+    if v.shape[-2:] != image_basis.elements.shape[1:]:
         raise ShapeError(
             f"cannot project shape {v.shape} onto a basis of shape "
             f"{image_basis.elements.shape[1:]}")
     E = image_basis.elements.reshape(len(image_basis), -1)
-    # conj(E conj(v)) is tr(e† v) without a conjugated copy of the basis
-    t = (E @ v.conj().ravel()).conj()
-    worst = float(np.max(np.abs(t.imag))) if len(t) else 0.0
-    if worst > COEFF_IMAG_TOL:
+    # conj(E conj(v)) is tr(e† v) without a conjugated copy of the basis;
+    # one matvec per matrix, never one GEMM whose rows depend on the stack
+    t = (E @ v.conj().reshape(v.shape[:-2] + (-1, 1)))[..., 0].conj()
+    worst = np.abs(t.imag).max(axis=-1, initial=0.0).ravel()
+    if (worst > COEFF_IMAG_TOL).any():
+        i = int(np.argmax(worst > COEFF_IMAG_TOL))
         raise InternalConsistencyError(
-            f"projection coefficients have imaginary residue {worst:.3e}; "
-            "input is probably not anti-Hermitian")
+            f"projection coefficients{'' if v.ndim == 2 else f' [{i}]'} have "
+            f"imaginary residue {worst[i]:.3e}; input is probably not anti-Hermitian",
+            index=None if v.ndim == 2 else i)
     coeffs = np.ascontiguousarray(t.real)
     # real coefficients times the (re, im) float view: one real matvec
-    v_T = (coeffs @ E.view(float)).view(complex).reshape(v.shape)
+    v_T = (coeffs[..., None, :] @ E.view(float))[..., 0, :].view(complex).reshape(v.shape)
     v_N = v - v_T
     return v_T, v_N, coeffs

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import CircuitPlan, OpticalElement
+from .circuit import CircuitPlan
 from .errors import OptiqError, ShapeError
 
 FORMAT_VERSION = 1
@@ -120,15 +120,3 @@ def plan_to_obj(plan: CircuitPlan) -> dict:
         "residual_phases": [float(x) for x in plan.residual_phases],
     }
 
-
-def plan_from_obj(obj) -> CircuitPlan:
-    try:
-        elements = tuple(
-            OpticalElement(kind=el["kind"], modes=tuple(int(x) for x in el["modes"]),
-                           theta=float(el.get("theta", 0.0)),
-                           phi=float(el.get("phi", 0.0)))
-            for el in obj["elements"])
-        return CircuitPlan(int(obj["m"]), elements,
-                           tuple(float(x) for x in obj["residual_phases"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise OptiqError(f"malformed plan object: {exc}") from None

@@ -5,8 +5,8 @@ import pytest
 import scipy.linalg
 
 import golden
+from optiq.errors import ShapeError
 from optiq.fock import enumerate_basis
-from optiq.homomorphism import permanent
 from optiq.lie import build_image_basis
 
 
@@ -53,6 +53,33 @@ def schur_log(U, branch=0):
     theta = np.angle(np.diagonal(T)) + 2 * np.pi * np.asarray(branch)
     v = (Q * (1j * theta)) @ Q.conj().T
     return (v - v.conj().T) / 2.0
+
+
+def permanent(A) -> complex:
+    """Oracle: permanent of a square complex matrix by Ryser's formula with
+    Gray-code subset updates, O(2^k k) time. The empty matrix has
+    permanent 1."""
+    A = np.asarray(A, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ShapeError(f"permanent requires a square matrix, got shape {A.shape}")
+    k = A.shape[0]
+    if k == 0:
+        return complex(1.0)
+    rowsum = np.zeros(k, dtype=complex)
+    total = 0.0 + 0.0j
+    parity = 1  # (-1)^{|subset|}, flips once per Gray-code step
+    gray = 0
+    for s in range(1, 1 << k):
+        bit = s & -s
+        j = bit.bit_length() - 1
+        gray ^= bit
+        if gray & bit:
+            rowsum += A[:, j]
+        else:
+            rowsum -= A[:, j]
+        parity = -parity
+        total += parity * rowsum.prod()
+    return complex(total if k % 2 == 0 else -total)
 
 
 def evolution_matrix_oracle(S, basis):

@@ -15,14 +15,15 @@ import numpy as np
 import pytest
 
 import golden
-from conftest import evolution_matrix_oracle, haar, schur_log
+from conftest import evolution_matrix_oracle, haar, permanent, schur_log
 from optiq import serialize
 from optiq.approx import approximate, derive_seed, haar_random, multi_start
 from optiq.circuit import decompose, reconstruct
 from optiq.cli import main
 from optiq.fock import enumerate_basis
-from optiq.homomorphism import evolution_matrix, exp_lift, permanent
+from optiq.homomorphism import evolution_matrix
 from optiq.lie import distance, matrix_exp, principal_log, project
+from test_homomorphism import exp_lift
 
 
 @contextmanager

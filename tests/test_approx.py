@@ -5,11 +5,35 @@ import pytest
 
 import golden
 from conftest import haar
+from optiq import approx
 from optiq.approx import (approximate, derive_seed, fidelity_bound,
                           haar_random, multi_start)
-from optiq.errors import ShapeError, UnitarityError
+from optiq.errors import NumericalInstabilityError, ShapeError, UnitarityError
+from optiq.fock import enumerate_basis
 from optiq.homomorphism import evolution_matrix
-from optiq.lie import distance
+from optiq.lie import ImageBasis, build_image_basis, distance
+
+
+def same_result(a, b):
+    """Bit-for-bit equality of two ApproxResults."""
+    return (np.array_equal(a.evolution, b.evolution)
+            and np.array_equal(a.scattering, b.scattering)
+            and a.trace == b.trace and a.final_distance == b.final_distance
+            and (a.iterations, a.converged) == (b.iterations, b.converged))
+
+
+def record_runs(monkeypatch):
+    """Collect the per-start results of every batched run, in start order."""
+    results = []
+    iterate = approx._iterate
+
+    def recorded(*args, **kwargs):
+        out = iterate(*args, **kwargs)
+        results.append(out)
+        return out
+
+    monkeypatch.setattr(approx, "_iterate", recorded)
+    return results
 
 
 class TestApproximate:
@@ -78,14 +102,31 @@ class TestApproximate:
         assert np.linalg.norm(E.conj().T @ E - np.eye(3)) < 1e-10
 
     def test_corrupted_basis_reported_as_instability(self, image22):
-        from optiq.errors import NumericalInstabilityError
-        from optiq.lie import ImageBasis
-
-        broken = ImageBasis(image22.basis, image22.elements * 1.5,
-                            image22.preimages.copy())
-        with pytest.raises(NumericalInstabilityError) as info:
-            approximate(golden.QFT3, np.eye(2), broken, max_iter=50)
-        assert info.value.step is not None
+        # scaled elements break the step bounds, scaled preimages the witness;
+        # start `late` fails at a later step than start 1 under each
+        steps = ImageBasis(image22.basis, image22.elements * 1.5, image22.preimages.copy())
+        witness = ImageBasis(image22.basis, image22.elements, image22.preimages * 1.01)
+        for broken, late in ((steps, 5), (witness, 2)):
+            with pytest.raises(NumericalInstabilityError) as info:
+                approximate(golden.QFT3, np.eye(2), broken, max_iter=50)
+            assert info.value.step is not None
+            # a batched run raises the error of its lowest-index failing
+            # start, at the step where that start's own run fails
+            with pytest.raises(NumericalInstabilityError) as batched:
+                multi_start(golden.QFT3, broken, k=5, max_iter=50)
+            assert (batched.value.step, str(batched.value)) == \
+                (info.value.step, str(info.value))
+            starts = [haar_random(2, derive_seed(0, i)) for i in (late, 1)]
+            errors = []
+            for start in starts:
+                with pytest.raises(NumericalInstabilityError) as alone:
+                    approximate(golden.QFT3, start, broken, max_iter=50)
+                errors.append(alone.value)
+            assert errors[1].step < errors[0].step
+            with pytest.raises(NumericalInstabilityError) as batched:
+                approx._iterate(golden.QFT3, starts, broken, 1e-10, 50)
+            assert (batched.value.step, str(batched.value)) == \
+                (errors[0].step, str(errors[0]))
 
     def test_input_validation(self, image22):
         with pytest.raises(UnitarityError):
@@ -98,6 +139,8 @@ class TestApproximate:
             approximate(np.eye(3), np.eye(2), image22, tol=0.0)
         with pytest.raises(ValueError):
             approximate(np.eye(3), np.eye(2), image22, max_iter=0)
+        with pytest.raises(TypeError):
+            approximate(golden.QFT3, np.eye(2), image22, max_iter=2.5)
 
 
 class TestHaarRandom:
@@ -190,6 +233,30 @@ class TestMultiStart:
     def test_validates_k(self, image22):
         with pytest.raises(ValueError):
             multi_start(golden.QFT3, image22, k=0)
+
+    def test_start_depends_only_on_seed_and_index(self, monkeypatch):
+        # start i gets the same bits alone, among 7 or 50 starts, and in a
+        # run whose starts are cut into chunks of 3
+        image = build_image_basis(enumerate_basis(3, 3))
+        U = haar_random(10, 5)
+        runs = {}
+        for label, k, stack_bytes in [("k=7", 7, approx.STACK_BYTES),
+                                      ("k=50", 50, approx.STACK_BYTES),
+                                      ("chunks of 3", 7, 3 * 16 * 10 * 10)]:
+            monkeypatch.setattr(approx, "STACK_BYTES", stack_bytes)
+            batches = record_runs(monkeypatch)
+            multi_start(U, image, k=k, rng_seed=5, max_iter=60)
+            runs[label] = [res for batch in batches for res in batch]
+            monkeypatch.undo()
+            assert [len(b) for b in batches] == ([3, 3, 1] if label == "chunks of 3" else [k])
+        for i in range(10):
+            start = np.eye(3) if i == 0 else haar_random(3, derive_seed(5, i))
+            alone = approximate(U, start, image, max_iter=60)
+            assert all(same_result(results[i], alone)
+                       for results in runs.values() if i < len(results))
+        # the stack shrank as starts converged at different steps
+        iterations = {res.iterations for res in runs["k=50"]}
+        assert len(iterations) > 2 and max(iterations) == 60
 
 
 class TestFidelityBound:

@@ -5,8 +5,24 @@ import pytest
 
 import golden
 from optiq import serialize
+from optiq.circuit import CircuitPlan, OpticalElement
 from optiq.cli import main
+from optiq.errors import OptiqError
 from optiq.homomorphism import evolution_matrix
+
+
+def plan_from_obj(obj) -> CircuitPlan:
+    """Read back a plan written by ``serialize.plan_to_obj``."""
+    try:
+        elements = tuple(
+            OpticalElement(kind=el["kind"], modes=tuple(int(x) for x in el["modes"]),
+                           theta=float(el.get("theta", 0.0)),
+                           phi=float(el.get("phi", 0.0)))
+            for el in obj["elements"])
+        return CircuitPlan(int(obj["m"]), elements,
+                           tuple(float(x) for x in obj["residual_phases"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise OptiqError(f"malformed plan object: {exc}") from None
 
 
 @pytest.fixture()
@@ -216,7 +232,7 @@ class TestDecomposeCommand:
                        "0.68301-0.18301i -0.5+0.5i\n")
         out = tmp_path / "plan.json"
         assert run(["decompose", str(src), "-o", str(out)]) == 0
-        plan = serialize.plan_from_obj(json.loads(out.read_text()))
+        plan = plan_from_obj(json.loads(out.read_text()))
         from optiq.circuit import reconstruct
         assert np.max(np.abs(reconstruct(plan) - golden.SA3)) < 1e-4
 
@@ -225,7 +241,7 @@ class TestDecomposeCommand:
         out = tmp_path / "plan.json"
         assert run(["sample", "-m", "5", "--seed", "77", "-o", str(src)]) == 0
         assert run(["decompose", str(src), "-o", str(out)]) == 0
-        plan = serialize.plan_from_obj(json.loads(out.read_text()))
+        plan = plan_from_obj(json.loads(out.read_text()))
         from optiq.circuit import reconstruct
         S = serialize.load_matrix(src)
         assert np.linalg.norm(reconstruct(plan) - S) < 1e-9

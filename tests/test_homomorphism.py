@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 
 import golden
-from conftest import evolution_matrix_oracle, haar
+from conftest import evolution_matrix_oracle, haar, permanent
 from optiq.errors import ShapeError
 from optiq.fock import enumerate_basis
-from optiq.homomorphism import (evolution_matrix, exp_lift, permanent,
-                                second_quantize)
+from optiq.homomorphism import evolution_matrix, second_quantize
 from optiq.lie import matrix_exp
+
+
+def exp_lift(A, basis):
+    """exp(second_quantize(A)); equals evolution_matrix(exp(A)) for A in u(m)."""
+    return matrix_exp(second_quantize(A, basis))
 
 
 def permanent_naive(A):
@@ -99,6 +103,23 @@ class TestEvolutionMatrix:
         A = random_anti_hermitian(rng, m)
         want = evolution_matrix_oracle(matrix_exp(A), basis)
         assert np.linalg.norm(exp_lift(A, basis) - want) < 1e-9
+
+    @pytest.mark.parametrize("m,n,ordering", [
+        pytest.param(2, 2, golden.ORDER_22, id="2-2-golden"),
+        pytest.param(3, 3, "lex_desc", id="3-3"),
+        pytest.param(5, 4, "lex_desc", id="5-4"),
+    ])
+    def test_stack_matches_each_matrix(self, m, n, ordering):
+        basis = enumerate_basis(m, n, ordering)
+        rng = np.random.default_rng(20 * m + n)
+        ginibre = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        S = np.array([haar(rng, m) for _ in range(5)] + [ginibre])
+        got = evolution_matrix(S, basis)
+        assert got.shape == (6, len(basis), len(basis))
+        for i in range(len(S)):
+            assert np.array_equal(got[i], evolution_matrix(S[i], basis))
+        assert np.array_equal(evolution_matrix(S.reshape(2, 3, m, m), basis),
+                              got.reshape(2, 3, len(basis), len(basis)))
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_homomorphism_and_unitarity(self, m, n):

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import golden
 from conftest import haar, schur_log
@@ -17,6 +18,30 @@ from optiq.lie import (ImageBasis, _orthonormalize, build_image_basis,
 def random_anti_hermitian(rng, d):
     Z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (Z - Z.conj().T) / 2
+
+
+def near_first_pole(offset, rotate):
+    """10 x 10 unitary with one eigenvalue ``offset`` radians from the first
+    Cayley pole and the others spread over (-0.4, 2.9); returns it and its
+    eigenvalues."""
+    rng = np.random.default_rng(41)
+    pole = -np.exp(1j * (lie.CAYLEY_SHIFT + offset))
+    phases = np.append(pole, np.exp(1j * np.linspace(-0.4, 2.9, 9)))
+    Q = haar(rng, 10) if rotate else np.eye(10)
+    return (Q * phases) @ Q.conj().T, phases
+
+
+def record_cayley_passes(monkeypatch):
+    """Record (stack shape, shift) of every Cayley pass principal_log makes."""
+    passes = []
+    cayley_eigh = lie._cayley_eigh
+
+    def recorded(U, alpha):
+        passes.append((U.shape, alpha))
+        return cayley_eigh(U, alpha)
+
+    monkeypatch.setattr(lie, "_cayley_eigh", recorded)
+    return passes
 
 
 class TestInner:
@@ -124,20 +149,10 @@ class TestPrincipalLog:
         (0.0, False), (0.0, True), (1e-6, True), (1e-3, True),
     ], ids=["exact-diagonal", "exact-rotated", "within-1e-6", "within-1e-3"])
     def test_eigenvalue_near_first_pole(self, monkeypatch, offset, rotate):
-        shifts = []
-        cayley_eigh = lie._cayley_eigh
-
-        def recorded(U, alpha):
-            shifts.append(alpha)
-            return cayley_eigh(U, alpha)
-
-        monkeypatch.setattr(lie, "_cayley_eigh", recorded)
-        rng = np.random.default_rng(41)
-        pole = -np.exp(1j * (lie.CAYLEY_SHIFT + offset))
-        phases = np.append(pole, np.exp(1j * np.linspace(-0.4, 2.9, 9)))
-        Q = haar(rng, 10) if rotate else np.eye(10)
-        U = (Q * phases) @ Q.conj().T
+        passes = record_cayley_passes(monkeypatch)
+        U, phases = near_first_pole(offset, rotate)
         assert np.max(np.abs(principal_log(U) - schur_log(U))) < 1e-12
+        shifts = [alpha for _, alpha in passes]
         assert shifts[0] == lie.CAYLEY_SHIFT and len(shifts) == 2
         if offset < 1e-5:
             # a singular or nearly singular first pass retries the next shift
@@ -161,6 +176,35 @@ class TestPrincipalLog:
         with pytest.raises(UnitarityError):
             principal_log(np.eye(3) * 1.5)
 
+    def test_stack_matches_each_matrix(self, monkeypatch):
+        # a plain Haar draw, one exactly singular first pass (which fails
+        # the stacked solve), one near-singular first pass (both retry at
+        # the next fixed shift) and one that takes the mid-gap pass
+        U = np.array([haar(np.random.default_rng(42), 10),
+                      near_first_pole(0.0, False)[0],
+                      near_first_pole(1e-6, True)[0],
+                      near_first_pole(1e-3, True)[0]])
+        passes = record_cayley_passes(monkeypatch)
+        got = principal_log(U)
+        stacked = list(passes)
+        for i in range(len(U)):
+            assert np.array_equal(got[i], principal_log(U[i]))
+        assert np.array_equal(principal_log(U.reshape(2, 2, 10, 10)), got.reshape(2, 2, 10, 10))
+        # the first pass covers the stack, once stacked and, as its solve
+        # fails, once per matrix; the retry and the mid-gap pass cover
+        # only the matrices that need them
+        shapes = [(shape[0], alpha) for shape, alpha in stacked]
+        assert shapes[:5] == [(4, lie.CAYLEY_SHIFT)] + [(1, lie.CAYLEY_SHIFT)] * 4
+        assert shapes[5] == (2, lie.CAYLEY_SHIFT + 1)
+        assert shapes[6][0] == 1 and len(shapes) == 7
+
+    def test_stack_names_non_unitary_member(self):
+        from optiq.errors import UnitarityError
+        U = np.array([np.eye(3), np.eye(3), 1.5 * np.eye(3)])
+        with pytest.raises(UnitarityError, match=r"\[2\]") as info:
+            principal_log(U)
+        assert info.value.index == 2
+
 
 class TestMatrixExp:
     def test_zero(self):
@@ -176,6 +220,19 @@ class TestMatrixExp:
         E = matrix_exp(v)
         assert np.linalg.norm(E.conj().T @ E - np.eye(5)) < 1e-12
 
+    @pytest.mark.parametrize("M", [3, 10, 35])
+    def test_stack_matches_each_matrix(self, M):
+        rng = np.random.default_rng(60 + M)
+        v = np.array([random_anti_hermitian(rng, M) for _ in range(5)])
+        got = matrix_exp(v)
+        for i in range(len(v)):
+            assert np.array_equal(got[i], matrix_exp(v[i]))
+
+
+def drifted_unitaries(rng, M, count):
+    return np.array([haar(rng, M) + 1e-8 * rng.standard_normal((M, M))
+                     for _ in range(count)])
+
 
 def test_polar_unitary_projects():
     rng = np.random.default_rng(7)
@@ -184,6 +241,35 @@ def test_polar_unitary_projects():
     P = polar_unitary(drifted)
     assert np.linalg.norm(P.conj().T @ P - np.eye(4)) < 1e-13
     assert distance(P, U) < 1e-7
+
+
+def test_polar_unitary_stack_matches_each_matrix():
+    A = drifted_unitaries(np.random.default_rng(70), 10, 5)
+    got = polar_unitary(A)
+    for i in range(len(A)):
+        assert np.array_equal(got[i], polar_unitary(A[i]))
+
+
+def test_polar_unitary_falls_back_to_gesvd(monkeypatch):
+    # gesdd can fail to converge on a finite, nearly unitary matrix
+    A = drifted_unitaries(np.random.default_rng(71), 6, 3)
+    want = [polar_unitary(a) for a in A]
+    W, _, Vh = scipy.linalg.svd(A[1], lapack_driver="gesvd")
+    svd = np.linalg.svd
+
+    def gesdd_fails_on_member_1(a, *args, **kwargs):
+        if a.ndim > 2 or np.array_equal(a, A[1]):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", gesdd_fails_on_member_1)
+    # on a stack, only the failing member takes the fallback
+    got = polar_unitary(A)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
+    assert np.array_equal(got[1], W @ Vh)
+    assert np.linalg.norm(got[1].conj().T @ got[1] - np.eye(6)) < 1e-13
+    assert distance(got[1], want[1]) < 1e-13
+    assert np.array_equal(polar_unitary(A[1]), W @ Vh)
 
 
 def gram_schmidt_oracle(basis):
@@ -307,6 +393,22 @@ class TestProject:
         with pytest.raises(ShapeError):
             project(np.zeros((4, 4)), image22)
 
+    def test_stack_matches_each_matrix(self, image_and_oracle):
+        ib, _ = image_and_oracle
+        rng = np.random.default_rng(14)
+        v = np.array([random_anti_hermitian(rng, len(ib.basis)) for _ in range(4)])
+        v_T, v_N, coeffs = project(v, ib)
+        assert coeffs.shape == (4, len(ib))
+        for i in range(len(v)):
+            for got, want in zip((v_T[i], v_N[i], coeffs[i]), project(v[i], ib)):
+                assert np.array_equal(got, want)
+
+    def test_stack_names_member_with_complex_coefficients(self, image22):
+        v = np.array([np.zeros((3, 3)), np.eye(3), np.eye(3)], dtype=complex)
+        with pytest.raises(InternalConsistencyError, match=r"\[1\]") as info:
+            project(v, image22)
+        assert info.value.index == 1
+
 
 class TestTangentExponentialMembership:
     def test_exp_tangent_has_scattering_witness(self, image22):
@@ -357,3 +459,12 @@ class TestDistance:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             distance(np.eye(2), np.eye(3))
+
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(15)
+        A = drifted_unitaries(rng, 10, 4)
+        B = haar(rng, 10)
+        got = distance(A, B)
+        assert np.array_equal(got, [distance(a, B) for a in A])
+        assert np.array_equal(distance(A, A[::-1]), [distance(a, b) for a, b in zip(A, A[::-1])])
+        assert got[0] == np.linalg.norm(A[0] - B)

