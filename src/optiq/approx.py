@@ -16,12 +16,15 @@ One engine runs every start: the iterates of all unfinished starts form one
 projection and each exponential, dropping starts as they converge or reach
 max_iter. :func:`approximate` is the engine with one start. The stacked
 kernels treat each matrix alone, so start i's result depends only on
-(rng_seed, i), whatever k and however the starts are chunked.
+(rng_seed, i), whatever k and however the starts are chunked. So do its
+errors: when a stacked run fails, its starts are rerun alone, in index
+order, and the first start that fails alone raises its own error.
 """
 
 from __future__ import annotations
 
 import math
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,9 +120,9 @@ def _iterate(U, starts, image_basis: ImageBasis, tol: float, max_iter: int,
     """Run the iteration from every start as one stack; one result per start.
 
     Each start's run makes the same checks, and gets the same bits, as it
-    would alone. When runs fail, the error raised is that of the
-    lowest-index failing start, as if the starts ran one after another: a
-    failing start drops itself and every later start from the stack.
+    would alone. When a stacked run fails, the starts rerun alone, in index
+    order, up to the first that fails, and its own error is raised: so only
+    a failing run pays, with at most one serial pass over the starts.
     """
     fb = image_basis.basis
     U = require_unitary(U, "target")
@@ -138,27 +141,34 @@ def _iterate(U, starts, image_basis: ImageBasis, tol: float, max_iter: int,
     if require_int(max_iter) < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
+    try:
+        return _run(U, np.array(S), image_basis, tol, max_iter, keep_matrices)
+    except OptiqError as exc:
+        if len(S) == 1:
+            raise
+        stacked = exc
+    traceback.clear_frames(stacked.__traceback__)  # frees the failed stack's arrays
+    for start in S:
+        _run(U, start[None], image_basis, tol, max_iter, keep_matrices)
+    raise stacked
+
+
+def _run(U, S, image_basis: ImageBasis, tol: float, max_iter: int,
+         keep_matrices: bool) -> list[ApproxResult]:
+    """Step the checked starts S as one stack, dropping each as it finishes;
+    raises at the first check any start fails."""
+    fb = image_basis.basis
     k = len(S)
-    S = np.array(S)
     Ui = evolution_matrix(S, fb)
     rows = np.arange(k)  # the start each row of the stack belongs to
     prev_normal = np.full(k, math.inf)
     traces: list[list[IterationRecord]] = [[] for _ in range(k)]
     pairs: list[list] = [[] for _ in range(k)]
     final: list = [None] * k  # (scattering, evolution, converged) per start
-    failure = None  # (start, error) of the lowest-index failure so far
     step = 0
-    while len(rows):
-        try:
-            v = principal_log(Ui.conj().swapaxes(-1, -2) @ U)
-            v_T, v_N, coeffs = project(v, image_basis)
-        except OptiqError as exc:
-            if exc.index is None:
-                raise
-            # that start fails here; the starts before it redo the step
-            failure = (int(rows[exc.index]), exc)
-            S, Ui, rows, prev_normal = (a[:exc.index] for a in (S, Ui, rows, prev_normal))
-            continue
+    while True:
+        v = principal_log(Ui.conj().swapaxes(-1, -2) @ U)
+        v_T, v_N, coeffs = project(v, image_basis)
         d = distance(Ui, U)
         tangent, normal = frobenius_norm(v_T), frobenius_norm(v_N)
         go = []  # rows that take another step
@@ -166,15 +176,13 @@ def _iterate(U, starts, image_basis: ImageBasis, tol: float, max_iter: int,
                 rows.tolist(), d.tolist(), tangent.tolist(), normal.tolist(),
                 prev_normal.tolist())):
             if d_i > p_i + MONOTONICITY_SLACK:
-                failure = (i, NumericalInstabilityError(
+                raise NumericalInstabilityError(
                     f"distance {d_i:.12e} exceeds previous normal norm {p_i:.12e}",
-                    step=step))
-                break
+                    step=step)
             if math.hypot(t_i, n_i) > p_i + MONOTONICITY_SLACK:
-                failure = (i, NumericalInstabilityError(
+                raise NumericalInstabilityError(
                     f"geodesic norm {math.hypot(t_i, n_i):.12e} exceeds "
-                    f"previous normal norm {p_i:.12e}", step=step))
-                break
+                    f"previous normal norm {p_i:.12e}", step=step)
             traces[i].append(IterationRecord(step, d_i, t_i, n_i))
             if keep_matrices:
                 pairs[i].append((S[r].copy(), Ui[r].copy()))
@@ -195,19 +203,14 @@ def _iterate(U, starts, image_basis: ImageBasis, tol: float, max_iter: int,
             Ui = polar_unitary(Ui)
         step += 1
 
-    # every start before the first failure has finished
-    done = final[:k if failure is None else failure[0]]
-    if done:
-        witness = distance(evolution_matrix(np.array([f[0] for f in done]), fb),
-                           np.array([f[1] for f in done]))
-        bad = np.flatnonzero(witness > WITNESS_TOL)
-        if bad.size:
-            i = bad[0]
-            raise NumericalInstabilityError(
-                f"scattering-matrix witness drifted to {witness[i]:.3e}",
-                step=traces[i][-1].step)
-    if failure is not None:
-        raise failure[1]
+    witness = distance(evolution_matrix(np.array([f[0] for f in final]), fb),
+                       np.array([f[1] for f in final]))
+    bad = np.flatnonzero(witness > WITNESS_TOL)
+    if bad.size:
+        i = bad[0]
+        raise NumericalInstabilityError(
+            f"scattering-matrix witness drifted to {witness[i]:.3e}",
+            step=traces[i][-1].step)
     return [ApproxResult(
         evolution=U_i,
         scattering=S_i,
@@ -277,12 +280,13 @@ def multi_start(U, image_basis: ImageBasis, k: int,
                   haar_random(m, derive_seed(rng_seed, i))
                   for i in range(first, min(k, first + chunk))]
         for res in _iterate(U, starts, image_basis, tol, max_iter):
-            for entry in clusters:
-                if distance(entry[0].evolution, res.evolution) < cluster_tol:
-                    entry[1] += 1
-                    if res.final_distance < entry[0].final_distance:
-                        entry[0] = res
-                    break
+            reps = np.array([entry[0].evolution for entry in clusters])
+            near = np.flatnonzero(distance(reps, res.evolution) < cluster_tol) if clusters else []
+            if len(near):
+                entry = clusters[near[0]]
+                entry[1] += 1
+                if res.final_distance < entry[0].final_distance:
+                    entry[0] = res
             else:
                 clusters.append([res, 1])
     clusters.sort(key=lambda entry: entry[0].final_distance)

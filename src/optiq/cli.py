@@ -60,12 +60,15 @@ class RunConfig:
     @classmethod
     def from_obj(cls, obj: dict) -> "RunConfig":
         try:
+            tol, cluster_tol = obj["tol"], obj["cluster_tol"]
+            if not all(type(x) in (int, float) for x in (tol, cluster_tol)):  # not bool or str
+                raise TypeError(f"tolerances must be numbers, got {tol!r}, {cluster_tol!r}")
             return cls(m=require_int(obj["m"]), n=require_int(obj["n"]),
-                       ordering=obj["ordering"], tol=float(obj["tol"]),
+                       ordering=obj["ordering"], tol=float(tol),
                        max_iter=require_int(obj["max_iter"]),
                        starts=require_int(obj["starts"]),
                        rng_seed=require_int(obj["rng_seed"]),
-                       cluster_tol=float(obj["cluster_tol"]))
+                       cluster_tol=float(cluster_tol))
         except (KeyError, TypeError, ValueError) as exc:
             raise OptiqError(f"malformed run configuration: {exc!r}") from None
 

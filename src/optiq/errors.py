@@ -9,12 +9,7 @@ from __future__ import annotations
 
 
 class OptiqError(Exception):
-    """Base class for every package-specific error. ``index`` is the flat
-    index of the failing matrix when a check on a stack fails."""
-
-    def __init__(self, *args, index: int | None = None):
-        super().__init__(*args)
-        self.index = index
+    """Base class for every package-specific error."""
 
 
 class ShapeError(OptiqError):
@@ -24,14 +19,13 @@ class ShapeError(OptiqError):
 class UnitarityError(OptiqError):
     """A matrix expected to be unitary fails the residual check."""
 
-    def __init__(self, residual: float, tol: float, context: str = "",
-                 index: int | None = None):
+    def __init__(self, residual: float, tol: float, context: str = ""):
         self.residual = float(residual)
         self.tol = float(tol)
         msg = f"unitarity residual {self.residual:.6e} exceeds tolerance {self.tol:.3e}"
         if context:
             msg = f"{context}: {msg}"
-        super().__init__(msg, index=index)
+        super().__init__(msg)
 
 
 class DimensionOverflowError(OptiqError):

@@ -288,8 +288,7 @@ def project(v, image_basis: ImageBasis):
         i = int(np.argmax(worst > COEFF_IMAG_TOL))
         raise InternalConsistencyError(
             f"projection coefficients{'' if v.ndim == 2 else f' [{i}]'} have "
-            f"imaginary residue {worst[i]:.3e}; input is probably not anti-Hermitian",
-            index=None if v.ndim == 2 else i)
+            f"imaginary residue {worst[i]:.3e}; input is probably not anti-Hermitian")
     coeffs = np.ascontiguousarray(t.real)
     # real coefficients times the (re, im) float view: one real matvec
     v_T = (coeffs[..., None, :] @ E.view(float))[..., 0, :].view(complex).reshape(v.shape)

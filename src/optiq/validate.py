@@ -69,10 +69,9 @@ def require_unitary(A, name: str = "matrix", tol: float = UNITARITY_TOL, *,
     A = as_complex_matrix(A, name, stack=stack)
     res = unitarity_residual(A)
     bound = tol * A.shape[-1]
-    if A.ndim == 2:
-        if not res <= bound:  # also rejects NaN
-            raise UnitarityError(res, bound, context=name)
-    elif not (res <= bound).all():
-        i = int((res <= bound).ravel().argmin())
-        raise UnitarityError(res.flat[i], bound, context=f"{name} [{i}]", index=i)
+    ok = np.ravel(res <= bound)  # also rejects NaN
+    if not ok.all():
+        i = int(ok.argmin())
+        raise UnitarityError(np.ravel(res)[i], bound,
+                             context=name if A.ndim == 2 else f"{name} [{i}]")
     return A

@@ -8,7 +8,8 @@ from conftest import haar
 from optiq import approx
 from optiq.approx import (approximate, derive_seed, fidelity_bound,
                           haar_random, multi_start)
-from optiq.errors import NumericalInstabilityError, ShapeError, UnitarityError
+from optiq.errors import (InternalConsistencyError, NumericalInstabilityError,
+                          OptiqError, ShapeError, UnitarityError)
 from optiq.fock import enumerate_basis
 from optiq.homomorphism import evolution_matrix
 from optiq.lie import ImageBasis, build_image_basis, distance
@@ -20,6 +21,15 @@ def same_result(a, b):
             and np.array_equal(a.scattering, b.scattering)
             and a.trace == b.trace and a.final_distance == b.final_distance
             and (a.iterations, a.converged) == (b.iterations, b.converged))
+
+
+def raised(run):
+    """(class, step, message) of the OptiqError that run() raises, or None."""
+    try:
+        run()
+    except OptiqError as exc:
+        return type(exc), getattr(exc, "step", None), str(exc)
+    return None
 
 
 def record_runs(monkeypatch):
@@ -102,31 +112,65 @@ class TestApproximate:
         assert np.linalg.norm(E.conj().T @ E - np.eye(3)) < 1e-10
 
     def test_corrupted_basis_reported_as_instability(self, image22):
-        # scaled elements break the step bounds, scaled preimages the witness;
-        # start `late` fails at a later step than start 1 under each
+        # scaled elements break the step bounds, scaled preimages the witness,
+        # and a non-anti-Hermitian element the projection; start `late`
+        # fails at a later step than start 1, or not at all
         steps = ImageBasis(image22.basis, image22.elements * 1.5, image22.preimages.copy())
         witness = ImageBasis(image22.basis, image22.elements, image22.preimages * 1.01)
-        for broken, late in ((steps, 5), (witness, 2)):
-            with pytest.raises(NumericalInstabilityError) as info:
-                approximate(golden.QFT3, np.eye(2), broken, max_iter=50)
-            assert info.value.step is not None
+        elements = image22.elements.copy()
+        elements[0] += 9e-10 * np.eye(3)
+        kernel = ImageBasis(image22.basis, elements, image22.preimages)
+        for broken, late, cls in ((steps, 5, NumericalInstabilityError),
+                                  (witness, 2, NumericalInstabilityError),
+                                  (kernel, 4, InternalConsistencyError)):
+            alone = raised(lambda: approximate(golden.QFT3, np.eye(2), broken, max_iter=50))
+            assert alone[0] is cls and (alone[1] is None) == (cls is InternalConsistencyError)
             # a batched run raises the error of its lowest-index failing
-            # start, at the step where that start's own run fails
-            with pytest.raises(NumericalInstabilityError) as batched:
-                multi_start(golden.QFT3, broken, k=5, max_iter=50)
-            assert (batched.value.step, str(batched.value)) == \
-                (info.value.step, str(info.value))
+            # start: the class, step and message of that start's own run
+            assert raised(lambda: multi_start(golden.QFT3, broken, k=5, max_iter=50)) == alone
             starts = [haar_random(2, derive_seed(0, i)) for i in (late, 1)]
-            errors = []
-            for start in starts:
-                with pytest.raises(NumericalInstabilityError) as alone:
-                    approximate(golden.QFT3, start, broken, max_iter=50)
-                errors.append(alone.value)
-            assert errors[1].step < errors[0].step
-            with pytest.raises(NumericalInstabilityError) as batched:
-                approx._iterate(golden.QFT3, starts, broken, 1e-10, 50)
-            assert (batched.value.step, str(batched.value)) == \
-                (errors[0].step, str(errors[0]))
+            errors = [raised(lambda: approximate(golden.QFT3, start, broken, max_iter=50))
+                      for start in starts]
+            assert errors[1][0] is cls
+            if cls is InternalConsistencyError:
+                assert errors[0] is None
+            else:
+                assert errors[1][1] < errors[0][1]
+            assert raised(lambda: approx._iterate(golden.QFT3, starts, broken, 1e-10, 50)) == \
+                (errors[0] or errors[1])
+
+    def test_distance_bound_violation_raises(self, image22, monkeypatch):
+        # d <= ||v|| in any arithmetic (a chord is never longer than its
+        # arc), so only a faulty distance reaches this check. This one adds
+        # 10 to each distance below 1: start 1 trips the bound at step 2,
+        # start 4 at step 1
+        monkeypatch.setattr(approx, "distance",
+                            lambda A, B: (d := distance(A, B)) + 10.0 * (d < 1.0))
+        starts = [haar_random(2, derive_seed(0, i)) for i in (1, 4)]
+        with pytest.raises(NumericalInstabilityError,
+                           match=r"^step 2: distance \S+ exceeds previous normal norm ") as info:
+            approximate(golden.QFT3, starts[0], image22, max_iter=50)
+        assert info.value.step == 2
+        assert raised(lambda: approximate(golden.QFT3, starts[1], image22, max_iter=50))[1] == 1
+        assert raised(lambda: approx._iterate(golden.QFT3, starts, image22, 1e-10, 50)) == \
+            (NumericalInstabilityError, 2, str(info.value))
+
+    def test_stacked_error_kept_when_no_start_fails_alone(self, image22, monkeypatch):
+        run = approx._run
+
+        def stack_only(U, S, *args):
+            big = np.zeros(10)  # noqa: F841 -- must be released before the reruns
+            if len(S) > 1:
+                raise InternalConsistencyError("stacked run failed")
+            return run(U, S, *args)
+
+        monkeypatch.setattr(approx, "_run", stack_only)
+        with pytest.raises(InternalConsistencyError, match="^stacked run failed$") as info:
+            multi_start(golden.QFT3, image22, k=3, max_iter=20)
+        tb = info.value.__traceback__
+        while tb.tb_frame.f_code is not stack_only.__code__:
+            tb = tb.tb_next
+        assert "big" not in tb.tb_frame.f_locals
 
     def test_input_validation(self, image22):
         with pytest.raises(UnitarityError):

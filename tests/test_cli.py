@@ -7,7 +7,7 @@ import golden
 from optiq import serialize
 from optiq.circuit import CircuitPlan, OpticalElement
 from optiq.cli import main
-from optiq.errors import OptiqError
+from optiq.errors import NumericalInstabilityError, OptiqError
 from optiq.homomorphism import evolution_matrix
 
 
@@ -111,6 +111,17 @@ class TestApproximateCommand:
         assert run(args[:-1] + ["400", "-o", str(tmp_path / "b.json")]) == 0
         assert "did not converge" not in capsys.readouterr().err
 
+    def test_numerical_instability_exits_4(self, tmp_path, capsys, qft3_file,
+                                           monkeypatch):
+        def unstable(*args, **kwargs):
+            raise NumericalInstabilityError("geodesic norm grew", step=3)
+
+        monkeypatch.setattr("optiq.cli.multi_start", unstable)
+        out = tmp_path / "report.json"
+        assert run(["approximate", qft3_file, "-m", "2", "-n", "2", "-o", str(out)]) == 4
+        assert capsys.readouterr().err == "error: step 3: geodesic norm grew\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("option,value", [
         ("--starts", "0"), ("--tol", "0"), ("--max-iter", "0"), ("--cluster-tol", "0"),
     ])
@@ -122,15 +133,23 @@ class TestApproximateCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
-    def test_replay_detects_tampering(self, tmp_path, qft3_file, order_file):
+    def test_replay_detects_tampering(self, tmp_path, capsys, qft3_file, order_file):
         out = tmp_path / "report.json"
-        run(["approximate", qft3_file, "-m", "2", "-n", "2",
-             "--ordering", order_file, "--starts", "2", "--seed", "5",
-             "--max-iter", "400", "-o", str(out)])
-        report = json.loads(out.read_text())
-        report["clusters"][0]["final_distance"] += 0.5
-        out.write_text(json.dumps(report))
-        assert run(["replay", str(out)]) == 1
+        assert run(["approximate", qft3_file, "-m", "2", "-n", "2",
+                    "--ordering", order_file, "--starts", "2", "--seed", "5",
+                    "--max-iter", "400", "-o", str(out)]) == 0
+        original = out.read_text()
+        for tamper, message in [
+                (lambda clusters: clusters[0].update(
+                    final_distance=clusters[0]["final_distance"] + 0.5),
+                 "replay mismatch: distances differ"),
+                (lambda clusters: clusters.pop(), "recorded clusters vs")]:
+            report = json.loads(original)
+            tamper(report["clusters"])
+            out.write_text(json.dumps(report))
+            capsys.readouterr()
+            assert run(["replay", str(out)]) == 1
+            assert message in capsys.readouterr().err
 
 
 CONFIG = {"m": 2, "n": 2, "ordering": "lex_desc", "tol": 1e-10, "max_iter": 400,
@@ -149,10 +168,14 @@ CONFIG = {"m": 2, "n": 2, "ordering": "lex_desc", "tol": 1e-10, "max_iter": 400,
     ("approximate", [[2.7, 0], [0, 2], [1, 1]]),
     *[("replay", {"config": {**CONFIG, key: value}, "clusters": [],
                   "target": serialize.matrix_to_obj(np.eye(3))})
-      for key, value in [("m", 2.9), ("starts", True), ("max_iter", 400.7)]],
+      for key, value in [("m", 2.9), ("starts", True), ("max_iter", 400.7),
+                         ("tol", True), ("tol", "1e-10"), ("cluster_tol", True),
+                         ("cluster_tol", "0.5")]],
 ], ids=["empty-config", "list-report", "no-target", "config-ordering-int",
         "target-dim-list", "ordering-file-int", "ordering-file-float",
-        "config-m-float", "config-starts-bool", "config-max-iter-float"])
+        "config-m-float", "config-starts-bool", "config-max-iter-float",
+        "config-tol-bool", "config-tol-str", "config-cluster-tol-bool",
+        "config-cluster-tol-str"])
 def test_malformed_input_exits_1(tmp_path, capsys, qft3_file, command, content):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))

@@ -201,9 +201,8 @@ class TestPrincipalLog:
     def test_stack_names_non_unitary_member(self):
         from optiq.errors import UnitarityError
         U = np.array([np.eye(3), np.eye(3), 1.5 * np.eye(3)])
-        with pytest.raises(UnitarityError, match=r"\[2\]") as info:
+        with pytest.raises(UnitarityError, match=r"\[2\]"):
             principal_log(U)
-        assert info.value.index == 2
 
 
 class TestMatrixExp:
@@ -405,9 +404,8 @@ class TestProject:
 
     def test_stack_names_member_with_complex_coefficients(self, image22):
         v = np.array([np.zeros((3, 3)), np.eye(3), np.eye(3)], dtype=complex)
-        with pytest.raises(InternalConsistencyError, match=r"\[1\]") as info:
+        with pytest.raises(InternalConsistencyError, match=r"\[1\]"):
             project(v, image22)
-        assert info.value.index == 1
 
 
 class TestTangentExponentialMembership:
