@@ -5,18 +5,23 @@ projects it onto the reachable subalgebra, and moves along that geodesic:
 
     U_{i+1} = U_i exp(v_T),   v = log(U_i† U_target).
 
-The same real projection coefficients applied to the basis preimages update
-an m x m scattering matrix alongside, so every iterate carries an exact
-witness of membership in the reachable subgroup. Multi-start exploration
-draws Haar-random scattering matrices from per-run derived seeds and
-clusters the fixed points it finds.
+The same real projection coefficients applied to the basis preimages give
+an m x m generator h whose lift is v_T, so the step is taken in mode space,
+S_{i+1} = S_i exp(h), and the evolution iterate is the lift of the
+scattering iterate, U_{i+1} = lift(S_{i+1}). Every iterate is thus
+reachable by construction; the identity lift(h) = v_T that makes it the
+paper's step is checked at every step. Multi-start exploration draws
+Haar-random scattering matrices from per-run derived seeds and clusters the
+fixed points it finds.
 
 One engine runs every start: the iterates of all unfinished starts form one
 (k, M, M) stack, and each step makes one stacked call of the log, the
-projection and each exponential, dropping starts as they converge or reach
-max_iter. :func:`approximate` is the engine with one start. The stacked
-kernels treat each matrix alone, so start i's result depends only on
-(rng_seed, i), whatever k and however the starts are chunked. So do its
+projection and the lift, dropping starts as they converge or reach
+max_iter. Each start carries its log's Cayley shift from step to step, so
+a step costs one M x M LU solve and one ``eigh``. :func:`approximate` is
+the engine with one start. The stacked kernels treat each matrix alone, so
+start i's result depends only on (rng_seed, i), whatever k and however the
+starts are chunked. So do its
 errors: when a stacked run fails, its starts are rerun alone, in index
 order, and the first start that fails alone raises its own error.
 """
@@ -30,16 +35,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalInstabilityError, OptiqError, ShapeError
-from .homomorphism import evolution_matrix
-from .lie import ImageBasis, distance, matrix_exp, polar_unitary, principal_log, project
+from .homomorphism import evolution_matrix, second_quantize
+from .lie import (CAYLEY_SHIFT, ImageBasis, distance, matrix_exp, polar_unitary,
+                  principal_log, project)
 from .validate import frobenius_norm, require_int, require_unitary
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
 DEFAULT_CLUSTER_TOL = 1e-4
 
-#: Iterates are polar-projected back to the unitary group this often; large
-#: enough that short reference runs are bit-for-bit unaffected.
+#: The m x m scattering iterate is polar-projected back to the unitary group
+#: this often; the evolution iterate, its lift, follows. Large enough that
+#: short reference runs are bit-for-bit unaffected.
 REUNITARIZE_EVERY = 25
 
 #: Exact arithmetic guarantees d_{i+1} <= ||v_N^i|| and the geodesic norm
@@ -49,7 +56,8 @@ REUNITARIZE_EVERY = 25
 #: distance is monotone.)
 MONOTONICITY_SLACK = 1e-6
 
-#: Bound on ||lift(scattering) - evolution|| for the returned result.
+#: Bound on ||second_quantize(h) - v_T||_F at every step: the step's m x m
+#: generator must lift to the projected logarithm it stands for.
 WITNESS_TOL = 1e-8
 
 #: multi_start runs its starts in chunks whose (k, M, M) stack of
@@ -75,11 +83,11 @@ class ApproxResult:
     """Outcome of one approximation run.
 
     ``evolution`` is the closest reachable M x M matrix found and
-    ``scattering`` the m x m matrix realizing it, so that
-    ``evolution_matrix(scattering) == evolution`` to within the witness
-    tolerance. ``trace[i]`` describes the iterate after i updates;
-    ``matrix_trace`` additionally holds the (scattering, evolution) pair per
-    recorded step when the run was asked to keep them.
+    ``scattering`` the m x m matrix realizing it:
+    ``evolution_matrix(scattering) == evolution`` bit for bit. ``trace[i]``
+    describes the iterate after i updates; ``matrix_trace`` additionally
+    holds the (scattering, evolution) pair, related alike, per recorded
+    step when the run was asked to keep them.
     """
 
     evolution: np.ndarray
@@ -109,8 +117,10 @@ def approximate(U, start, image_basis: ImageBasis,
 
     At every step the new distance and the new geodesic norm are checked
     against the previous normal-component norm, the inequalities exact
-    arithmetic guarantees; a violation beyond MONOTONICITY_SLACK raises
-    NumericalInstabilityError with the offending step index.
+    arithmetic guarantees, and the step generator's lift against the
+    projected logarithm; a violation beyond MONOTONICITY_SLACK or
+    WITNESS_TOL raises NumericalInstabilityError with the offending step
+    index.
     """
     return _iterate(U, [start], image_basis, tol, max_iter, keep_matrices)[0]
 
@@ -162,12 +172,13 @@ def _run(U, S, image_basis: ImageBasis, tol: float, max_iter: int,
     Ui = evolution_matrix(S, fb)
     rows = np.arange(k)  # the start each row of the stack belongs to
     prev_normal = np.full(k, math.inf)
+    shifts = np.full(k, CAYLEY_SHIFT)  # each row's next first Cayley shift
     traces: list[list[IterationRecord]] = [[] for _ in range(k)]
     pairs: list[list] = [[] for _ in range(k)]
     final: list = [None] * k  # (scattering, evolution, converged) per start
     step = 0
     while True:
-        v = principal_log(Ui.conj().swapaxes(-1, -2) @ U)
+        v = principal_log(Ui.conj().swapaxes(-1, -2) @ U, shifts)
         v_T, v_N, coeffs = project(v, image_basis)
         d = distance(Ui, U)
         tangent, normal = frobenius_norm(v_T), frobenius_norm(v_N)
@@ -191,26 +202,24 @@ def _run(U, S, image_basis: ImageBasis, tol: float, max_iter: int,
             else:
                 go.append(r)
         if len(go) < len(rows):
-            S, Ui, rows, normal, coeffs, v_T = (a[go] for a in (S, Ui, rows, normal, coeffs, v_T))
+            S, rows, normal, coeffs, v_T, shifts = (
+                a[go] for a in (S, rows, normal, coeffs, v_T, shifts))
         prev_normal = normal
         if not go:
             break
         h = np.einsum("ak,kij->aij", coeffs, image_basis.preimages)
+        witness = frobenius_norm(second_quantize(h, fb) - v_T)
+        bad = np.flatnonzero(~(witness <= WITNESS_TOL))  # also NaN
+        if bad.size:
+            raise NumericalInstabilityError(
+                f"lifted step generator differs from the projected logarithm "
+                f"by {witness[bad[0]]:.3e}", step=step)
         S = S @ matrix_exp(h)
-        Ui = Ui @ matrix_exp(v_T)
         if (step + 1) % REUNITARIZE_EVERY == 0:
             S = polar_unitary(S)
-            Ui = polar_unitary(Ui)
+        Ui = evolution_matrix(S, fb)
         step += 1
 
-    witness = distance(evolution_matrix(np.array([f[0] for f in final]), fb),
-                       np.array([f[1] for f in final]))
-    bad = np.flatnonzero(witness > WITNESS_TOL)
-    if bad.size:
-        i = bad[0]
-        raise NumericalInstabilityError(
-            f"scattering-matrix witness drifted to {witness[i]:.3e}",
-            step=traces[i][-1].step)
     return [ApproxResult(
         evolution=U_i,
         scattering=S_i,

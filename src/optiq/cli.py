@@ -5,7 +5,7 @@ Subcommands:
     lift          evolution matrix of a scattering-matrix file
     sample        Haar-random scattering matrix
     decompose     beam-splitter mesh of a scattering-matrix file
-    replay        re-execute a report's configuration and verify distances
+    replay        re-execute a report's configuration and verify its clusters
 
 Exit codes: 0 success, 2 shape error, 3 unitarity error, 4 numerical
 instability, 1 anything else. Every command is deterministic given its
@@ -144,25 +144,59 @@ def cmd_approximate(args) -> int:
     return 0
 
 
+#: Fields of a report's cluster that replay must reproduce exactly, and
+#: those it compares within REPLAY_TOL.
+EXACT_FIELDS = ("hit_count", "iterations", "converged")
+MATRIX_FIELDS = ("scattering_matrix", "evolution_matrix")
+REPLAY_TOL = 1e-9
+
+
+def _cluster_fields(cluster: dict) -> dict:
+    fields = {key: cluster[key] for key in EXACT_FIELDS}
+    fields["final_distance"] = float(cluster["final_distance"])
+    for key in MATRIX_FIELDS:
+        fields[key] = serialize.matrix_from_obj(cluster[key])
+    return fields
+
+
+def _mismatches(old: list[dict], new: list[dict]) -> list[str]:
+    """Every difference between recorded and recomputed clusters."""
+    if len(old) != len(new):
+        return [f"{len(old)} recorded clusters vs {len(new)} recomputed"]
+    found = []
+    worst = max((abs(a["final_distance"] - b["final_distance"])
+                 for a, b in zip(old, new)), default=0.0)
+    if worst > REPLAY_TOL:
+        found.append(f"distances differ by {worst:.3e}")
+    for i, (a, b) in enumerate(zip(old, new)):
+        for key in EXACT_FIELDS:
+            if repr(a[key]) != repr(b[key]):  # 1 is not True
+                found.append(f"cluster {i} {key} {a[key]!r} recorded vs {b[key]!r} recomputed")
+        for key in MATRIX_FIELDS:
+            if a[key].shape != b[key].shape:
+                found.append(f"cluster {i} {key} shape {a[key].shape} recorded vs "
+                             f"{b[key].shape} recomputed")
+            elif not (diff := np.abs(a[key] - b[key]).max()) <= REPLAY_TOL:
+                found.append(f"cluster {i} {key} differs by {diff:.3e}")
+    return found
+
+
 def cmd_replay(args) -> int:
     report = serialize.load_json(args.report)
     try:
         config_obj, target_obj = report["config"], report["target"]
-        old = [float(c["final_distance"]) for c in report["clusters"]]
+        old = [_cluster_fields(c) for c in report["clusters"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise OptiqError(f"malformed report: {exc!r}") from None
     config = RunConfig.from_obj(config_obj)
     target = serialize.matrix_from_obj(target_obj)
     fresh = _run_multi_start(config, target, include_trace=False)
-    new = [c["final_distance"] for c in fresh["clusters"]]
-    if len(old) != len(new):
-        _log(f"replay mismatch: {len(old)} recorded clusters vs {len(new)} recomputed")
+    found = _mismatches(old, [_cluster_fields(c) for c in fresh["clusters"]])
+    for line in found:
+        _log(f"replay mismatch: {line}")
+    if found:
         return 1
-    worst = max((abs(a - b) for a, b in zip(old, new)), default=0.0)
-    if worst > 1e-9:
-        _log(f"replay mismatch: distances differ by {worst:.3e}")
-        return 1
-    _log(f"replay verified: {len(new)} cluster distance(s) match within 1e-9")
+    _log(f"replay verified: {len(old)} cluster(s) match within {REPLAY_TOL:g}")
     return 0
 
 
@@ -234,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", default="report.json")
     p.set_defaults(func=cmd_approximate)
 
-    p = sub.add_parser("replay", help="re-run a report's config and verify distances")
+    p = sub.add_parser("replay", help="re-run a report's config and verify its clusters")
     p.add_argument("report")
     p.set_defaults(func=cmd_replay)
 

@@ -54,10 +54,12 @@ class FockBasis:
     """Ordered enumeration of every n-photon occupation vector on m modes.
 
     Immutable after construction and therefore safe to share between
-    concurrent workers. Use :func:`enumerate_basis` to build one.
+    concurrent workers; the lift tables it carries are built on first use,
+    the same by whichever worker builds them. Use :func:`enumerate_basis`
+    to build one.
     """
 
-    __slots__ = ("m", "n", "states", "ordering", "_index")
+    __slots__ = ("m", "n", "states", "ordering", "_index", "_lift_tables")
 
     def __init__(self, m: int, n: int, states: Sequence[Sequence[int]],
                  ordering: str = "explicit"):
@@ -68,6 +70,7 @@ class FockBasis:
         except TypeError as exc:
             raise InvalidOrderingError(f"malformed state list: {exc}") from None
         self.ordering = ordering
+        self._lift_tables = None  # built on first use by the homomorphism module
         expected = dimension(self.m, self.n)
         for s in self.states:
             if len(s) != self.m or any(x < 0 for x in s) or sum(s) != self.n:

@@ -7,10 +7,12 @@ M x M evolution matrix, M = C(m+n-1, n), defined entrywise by permanents,
 
 where S[out|in] repeats row j of S out_j times and column k in_k times.
 The algebra-level lift is second quantization, sum_{jk} A[j,k] a†_j a_k.
-Both lifts are computed from one table of creation operators instead: the
+Both lifts are computed from tables of creation operators instead: the
 group lift photon by photon from U a†_c U† = sum_j S[j,c] a†_j (Scheel,
 quant-ph/0406127), the algebra lift from a†_j a_k = sum_r a†_j |r><r| a_k.
-Both lift a stack (..., m, m) of matrices as well as a single one.
+The tables are built once per basis and kept on it, so a lift costs only
+its arithmetic. Both lift a stack (..., m, m) of matrices as well as a
+single one.
 """
 
 from __future__ import annotations
@@ -21,14 +23,31 @@ from .errors import ShapeError
 from .fock import FockBasis, _compositions, enumerate_basis
 
 
-def _creation_table(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
-    """(up, w) with a†_j |r> = w[r, j] |up[r, j]> into ``basis``, for the
-    lex-ordered states r with one photon fewer; w[r, j] = sqrt(r_j + 1)."""
+def _level(basis: FockBasis) -> tuple[np.ndarray, ...]:
+    """(up, w, occ, c, src, div) for the states of ``basis``: a†_j |r> =
+    w[r, j] |up[r, j]> for the lex-ordered states r with one photon fewer
+    (w = sqrt(r_j + 1)), and each state q's occupations occ[q], first
+    occupied mode c[q], state src[q] = q - e_c and div[q] = sqrt(q_c)."""
     m = basis.m
     lower = np.array(list(_compositions(m, basis.n - 1)))
     raised = lower[:, None, :] + np.eye(m, dtype=int)
-    up = [basis.index_of(s) for s in raised.reshape(-1, m).tolist()]
-    return np.reshape(up, (-1, m)), np.sqrt(lower + 1.0)
+    up = np.reshape([basis.index_of(s) for s in raised.reshape(-1, m).tolist()], (-1, m))
+    occ = np.array(basis.states)
+    c = np.argmax(occ > 0, axis=1)
+    hit = c[up] == np.arange(m)  # up[r, j] = q with j = c_q, once per q
+    src = np.empty(len(basis), dtype=int)
+    src[up[hit]] = np.nonzero(hit)[0]
+    return up, np.sqrt(lower + 1.0), occ, c, src, np.sqrt(occ[np.arange(len(basis)), c])
+
+
+def _levels(basis: FockBasis) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The tables of photon levels 1, ..., n, the last in ``basis``'s own
+    order; built on first use and kept on the (immutable) basis."""
+    if basis._lift_tables is None:
+        basis._lift_tables = tuple(
+            _level(basis if k == basis.n else enumerate_basis(basis.m, k, max_dim=None))
+            for k in range(1, basis.n + 1))
+    return basis._lift_tables
 
 
 def evolution_matrix(S, basis: FockBasis) -> np.ndarray:
@@ -45,22 +64,14 @@ def evolution_matrix(S, basis: FockBasis) -> np.ndarray:
     if S.shape[-2:] != (basis.m, basis.m):
         raise ShapeError(
             f"scattering matrix shape {S.shape} does not match basis with m={basis.m}")
-    m = basis.m
     U = np.ones(S.shape[:-2] + (1, 1), dtype=complex)
-    for k in range(1, basis.n + 1):
-        level = basis if k == basis.n else enumerate_basis(m, k, max_dim=None)
-        up, w = _creation_table(level)
-        occ = np.array(level.states)
-        c = np.argmax(occ > 0, axis=1)
-        hit = c[up] == np.arange(m)  # up[r, j] = q with j = c_q, once per q
-        src = np.empty(len(level), dtype=int)
-        src[up[hit]] = np.nonzero(hit)[0]
+    for up, w, _, c, src, div in _levels(basis):
         prev = U[..., src]
-        U = np.zeros(S.shape[:-2] + (len(level), len(level)), dtype=complex)
-        for j in range(m):  # the rows up[:, j] are distinct
+        U = np.zeros(S.shape[:-2] + (len(c), len(c)), dtype=complex)
+        for j in range(basis.m):  # the rows up[:, j] are distinct
             U[..., up[:, j], :] += w[:, j, None] * S[..., None, j, c] * prev
         # dividing last keeps e.g. the identity lift exactly the identity
-        U /= np.sqrt(occ[np.arange(len(level)), c])
+        U /= div
     return U
 
 
@@ -76,12 +87,11 @@ def second_quantize(A, basis: FockBasis) -> np.ndarray:
     if A.shape[-2:] != (basis.m, basis.m):
         raise ShapeError(
             f"generator shape {A.shape} does not match basis with m={basis.m}")
-    up, w = _creation_table(basis)
+    up, w, occ, *_ = _levels(basis)[-1]
     j, k = np.nonzero(~np.eye(basis.m, dtype=bool))
     M = len(basis)
     out = np.zeros(A.shape[:-2] + (M, M), dtype=complex)
     out[..., up[:, j], up[:, k]] = A[..., None, j, k] * (w[:, j] * w[:, k])
-    occ = np.array(basis.states, dtype=float)
     diag = np.arange(M)
     out[..., diag, diag] = (np.diagonal(A, axis1=-2, axis2=-1)[..., None, :] * occ).sum(-1)
     return out

@@ -87,15 +87,16 @@ def _cayley_eigh(U, alpha):
 
 
 def _cayley_pass(U, alpha):
-    """:func:`_cayley_eigh` of a stack U at the one shift alpha, with NaN
-    tangents for each matrix whose solve is exactly singular (LAPACK then
-    fails the whole stack)."""
+    """:func:`_cayley_eigh` of a stack U at alpha, one shift or one per
+    matrix, with NaN tangents for each matrix whose solve is exactly
+    singular (LAPACK then fails the whole stack)."""
     try:
         return _cayley_eigh(U, alpha)
     except np.linalg.LinAlgError:
         if len(U) == 1:
             return np.full(U.shape[:-1], np.nan), np.zeros_like(U)
-    return tuple(map(np.concatenate, zip(*(_cayley_pass(u[None], alpha) for u in U))))
+    each = alpha if isinstance(alpha, np.ndarray) else [alpha] * len(U)
+    return tuple(map(np.concatenate, zip(*(_cayley_pass(u[None], a) for u, a in zip(U, each)))))
 
 
 def _eigen_angles(U, Q):
@@ -105,7 +106,16 @@ def _eigen_angles(U, Q):
     return np.where((z.imag == 0) & (z.real < 0), np.pi, np.angle(z))
 
 
-def principal_log(U) -> np.ndarray:
+def _mid_gap(theta):
+    """Per row of angles, the shift alpha whose Cayley pole -e^{i alpha}
+    sits in the middle of the widest gap between them."""
+    ordered = np.sort(theta, axis=-1)
+    gaps = np.diff(ordered, axis=-1, append=ordered[:, :1] + 2 * np.pi)
+    r, j = np.arange(len(ordered)), gaps.argmax(axis=-1)
+    return ordered[r, j] + gaps[r, j] / 2 - np.pi
+
+
+def principal_log(U, shifts=None) -> np.ndarray:
     """Principal logarithm of a unitary matrix, or of each of a stack.
 
     Returns the anti-Hermitian v with exp(v) = U whose eigenvalues i*theta
@@ -117,14 +127,18 @@ def principal_log(U) -> np.ndarray:
     under degeneracy; theta is read from diag(Q† U Q), and
     v = Q diag(i theta) Q† is anti-Hermitized.
 
-    Shift rule: the first pass takes alpha = CAYLEY_SHIFT and is kept when
-    every |tan| is at most CAYLEY_BOUND. Otherwise the pole moves to the
-    middle of the widest gap between the angles just read, at least
-    2 pi / M wide, and a second pass keeps every |tan| within about
-    cot(pi / 2M). A first pass whose solve is exactly singular, or whose
-    largest |tan| exceeds CAYLEY_POLE_BOUND, is retried at
-    alpha = CAYLEY_SHIFT + k, k = 1, 2, ...; these poles are distinct, so
-    at most M of them can fail.
+    Shift rule: the first pass takes alpha = CAYLEY_SHIFT, or with
+    ``shifts`` (a float array of shape U.shape[:-2]) each matrix's own
+    shift, and is kept when every |tan| is at most CAYLEY_BOUND. Otherwise
+    the pole moves to the middle of the widest gap between the angles just
+    read, at least 2 pi / M wide, and a second pass keeps every |tan|
+    within about cot(pi / 2M). A first pass whose solve is exactly
+    singular, or whose largest |tan| exceeds CAYLEY_POLE_BOUND, is retried
+    at alpha + k, k = 1, 2, ...; these poles are distinct, so at most M of
+    them can fail. ``shifts`` is then overwritten, like numpy's ``out=``,
+    with the mid-gap shift of each matrix's final angles: a caller whose
+    next matrix has nearly the same spectrum passes it back, and its first
+    pass is almost always kept.
 
     Branch: an exact eigenvalue -1 maps to angle +pi. A -1 that carries
     roundoff takes the sign of its perturbation; both signs of pi give a
@@ -136,24 +150,26 @@ def principal_log(U) -> np.ndarray:
     """
     U = require_unitary(U, "principal_log input", stack=True)
     flat = U.reshape((-1,) + U.shape[-2:])
-    tans, Q = _cayley_pass(flat, CAYLEY_SHIFT)
+    first = CAYLEY_SHIFT if shifts is None else np.reshape(shifts, -1).astype(float)
+    tans, Q = _cayley_pass(flat, first)
     worst = np.abs(tans).max(axis=-1)
     k = 0
     while not (worst <= CAYLEY_POLE_BOUND).all():  # also NaN
         k += 1
         retry = np.flatnonzero(~(worst <= CAYLEY_POLE_BOUND))
-        tans, Q[retry] = _cayley_pass(flat[retry], CAYLEY_SHIFT + k)
+        alpha = first if shifts is None else first[retry]
+        tans, Q[retry] = _cayley_pass(flat[retry], alpha + k)
         worst[retry] = np.abs(tans).max(axis=-1)
     theta = _eigen_angles(flat, Q)
     wide = worst > CAYLEY_BOUND
     if wide.any():
         # a view, not a copy, when every matrix needs the pass
         wide = slice(None) if wide.all() else np.flatnonzero(wide)
-        U_wide, ordered = flat[wide], np.sort(theta[wide], axis=-1)
-        gaps = np.diff(ordered, axis=-1, append=ordered[:, :1] + 2 * np.pi)
-        r, j = np.arange(len(ordered)), gaps.argmax(axis=-1)
-        _, Q_wide = _cayley_eigh(U_wide, ordered[r, j] + gaps[r, j] / 2 - np.pi)
+        U_wide = flat[wide]
+        _, Q_wide = _cayley_eigh(U_wide, _mid_gap(theta[wide]))
         Q[wide], theta[wide] = Q_wide, _eigen_angles(U_wide, Q_wide)
+    if shifts is not None:
+        shifts[...] = _mid_gap(theta).reshape(np.shape(shifts))
     v = (Q * (1j * theta)[:, None, :]) @ _dagger(Q)
     return ((v - _dagger(v)) / 2.0).reshape(U.shape)
 

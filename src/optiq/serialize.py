@@ -8,7 +8,8 @@ A plain-text matrix reader is also accepted for convenience: one row per
 line, whitespace-separated complex literals such as ``0.5``, ``-2i`` or
 ``0.3-0.7i`` (``j`` works too). All writers emit canonical JSON (sorted
 keys, two-space indent), so identical data produces identical bytes.
-Both matrix readers reject NaN and infinite entries.
+Both matrix readers reject NaN and infinite entries; the JSON reader also
+rejects entries that are not numbers, booleans included.
 """
 
 from __future__ import annotations
@@ -54,12 +55,19 @@ def _require_finite(A: np.ndarray) -> np.ndarray:
     return A
 
 
+def _number(x):
+    """An int or float entry; bool, str and null raise TypeError."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"{x!r} is not a number")
+    return x
+
+
 def matrix_from_obj(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise OptiqError("matrix object must be a dict with an 'entries' field")
     rows = obj["entries"]
     try:
-        A = np.array([[complex(re, im) for re, im in row] for row in rows],
+        A = np.array([[complex(_number(re), _number(im)) for re, im in row] for row in rows],
                      dtype=complex)
     except (TypeError, ValueError) as exc:
         raise OptiqError(f"malformed matrix entries: {exc}") from None

@@ -12,7 +12,8 @@ from optiq.errors import (InternalConsistencyError, NumericalInstabilityError,
                           OptiqError, ShapeError, UnitarityError)
 from optiq.fock import enumerate_basis
 from optiq.homomorphism import evolution_matrix
-from optiq.lie import ImageBasis, build_image_basis, distance
+from optiq.lie import ImageBasis, build_image_basis, distance, principal_log
+from test_lie import record_cayley_passes
 
 
 def same_result(a, b):
@@ -89,9 +90,33 @@ class TestApproximate:
             assert all(b <= a + 1e-9 for a, b in zip(geo, geo[1:]))
 
     def test_witness_on_result(self, image22):
-        res = approximate(golden.QFT3, np.eye(2), image22, max_iter=60)
-        assert distance(evolution_matrix(res.scattering, image22.basis),
-                        res.evolution) < 1e-8
+        # every returned and recorded evolution is the lift of its
+        # scattering matrix, bit for bit
+        for image in (image22, build_image_basis(enumerate_basis(3, 3))):
+            fb = image.basis
+            U = golden.QFT3 if image is image22 else haar_random(len(fb), 3)
+            res = approximate(U, np.eye(fb.m), image, max_iter=60, keep_matrices=True)
+            reps = [r for r, _ in multi_start(U, image, k=8, max_iter=60, rng_seed=3)]
+            for S, E in [(r.scattering, r.evolution) for r in [res, *reps]] + res.matrix_trace:
+                assert np.array_equal(evolution_matrix(S, fb), E)
+
+    def test_carried_cayley_shift(self, monkeypatch):
+        # U_i† U moves little per step, so a first Cayley pass at the mid-gap
+        # shift of the previous step's angles is almost always kept; from
+        # the fixed shift, many of the same logs need a mid-gap pass
+        image = build_image_basis(enumerate_basis(4, 4))
+        passes = record_cayley_passes(monkeypatch)
+        carried = fixed = 0  # passes beyond each log's first
+        for seed in (1, 2, 3):
+            U = haar_random(35, derive_seed(seed, 0))
+            passes.clear()
+            res = approximate(U, np.eye(4), image, max_iter=30, keep_matrices=True)
+            carried += len(passes) - len(res.trace)
+            passes.clear()
+            for _, U_i in res.matrix_trace:
+                principal_log(U_i.conj().T @ U)
+            fixed += len(passes) - len(res.trace)
+        assert fixed > 0 and 2 * carried <= fixed
 
     def test_left_invariance_of_final_distance(self, image22_lex):
         rng = np.random.default_rng(23)
@@ -112,10 +137,12 @@ class TestApproximate:
         assert np.linalg.norm(E.conj().T @ E - np.eye(3)) < 1e-10
 
     def test_corrupted_basis_reported_as_instability(self, image22):
-        # scaled elements break the step bounds, scaled preimages the witness,
-        # and a non-anti-Hermitian element the projection; start `late`
-        # fails at a later step than start 1, or not at all
-        steps = ImageBasis(image22.basis, image22.elements * 1.5, image22.preimages.copy())
+        # elements and preimages scaled alike overshoot each step and break
+        # the step bounds, scaled preimages alone the lift of the step
+        # generator, and a non-anti-Hermitian element the projection; start
+        # `late` fails at a later step than start 1, at the same step with
+        # its own witness value, or not at all
+        steps = ImageBasis(image22.basis, image22.elements * 1.5, image22.preimages * 1.5)
         witness = ImageBasis(image22.basis, image22.elements, image22.preimages * 1.01)
         elements = image22.elements.copy()
         elements[0] += 9e-10 * np.eye(3)
@@ -134,6 +161,8 @@ class TestApproximate:
             assert errors[1][0] is cls
             if cls is InternalConsistencyError:
                 assert errors[0] is None
+            elif broken is witness:
+                assert errors[0][1] == errors[1][1] == 0 and errors[0] != errors[1]
             else:
                 assert errors[1][1] < errors[0][1]
             assert raised(lambda: approx._iterate(golden.QFT3, starts, broken, 1e-10, 50)) == \

@@ -139,11 +139,24 @@ class TestApproximateCommand:
                     "--ordering", order_file, "--starts", "2", "--seed", "5",
                     "--max-iter", "400", "-o", str(out)]) == 0
         original = out.read_text()
+
+        def nudge(matrix):
+            def tamper(clusters):
+                clusters[0][matrix]["entries"][0][1][0] += 1e-3
+            return tamper
+
         for tamper, message in [
                 (lambda clusters: clusters[0].update(
                     final_distance=clusters[0]["final_distance"] + 0.5),
                  "replay mismatch: distances differ"),
-                (lambda clusters: clusters.pop(), "recorded clusters vs")]:
+                (lambda clusters: clusters.pop(), "recorded clusters vs"),
+                (lambda clusters: clusters[0].update(
+                    hit_count=clusters[0]["hit_count"] + 40),
+                 "replay mismatch: cluster 0 hit_count"),
+                (nudge("scattering_matrix"), "replay mismatch: cluster 0 scattering_matrix"),
+                (nudge("evolution_matrix"), "replay mismatch: cluster 0 evolution_matrix"),
+                (lambda clusters: clusters[-1].update(converged=not clusters[-1]["converged"]),
+                 "converged")]:
             report = json.loads(original)
             tamper(report["clusters"])
             out.write_text(json.dumps(report))
@@ -171,16 +184,20 @@ CONFIG = {"m": 2, "n": 2, "ordering": "lex_desc", "tol": 1e-10, "max_iter": 400,
       for key, value in [("m", 2.9), ("starts", True), ("max_iter", 400.7),
                          ("tol", True), ("tol", "1e-10"), ("cluster_tol", True),
                          ("cluster_tol", "0.5")]],
+    ("lift", {"dim": 2, "entries": [[[True, False], [False, False]],
+                                    [[False, False], [True, False]]]}),
 ], ids=["empty-config", "list-report", "no-target", "config-ordering-int",
         "target-dim-list", "ordering-file-int", "ordering-file-float",
         "config-m-float", "config-starts-bool", "config-max-iter-float",
         "config-tol-bool", "config-tol-str", "config-cluster-tol-bool",
-        "config-cluster-tol-str"])
+        "config-cluster-tol-str", "matrix-entries-bool"])
 def test_malformed_input_exits_1(tmp_path, capsys, qft3_file, command, content):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))
     if command == "replay":
         args = ["replay", str(path)]
+    elif command == "lift":
+        args = ["lift", str(path), "-m", "2", "-n", "2", "-o", str(tmp_path / "out.json")]
     else:
         args = ["approximate", qft3_file, "-m", "2", "-n", "2",
                 "--ordering", "@" + str(path), "-o", str(tmp_path / "out.json")]

@@ -127,9 +127,21 @@ class TestPrincipalLog:
     @pytest.mark.parametrize("M", [3, 10, 35, 70])
     def test_matches_schur_oracle(self, M):
         rng = np.random.default_rng(40 + M)
+        shift_rng = np.random.default_rng(M)
         for _ in range(20):
             U = haar(rng, M)
-            assert np.max(np.abs(principal_log(U) - schur_log(U))) < 1e-12
+            want = schur_log(U)
+            assert np.max(np.abs(principal_log(U) - want)) < 1e-12
+            # a carried shift, and one whose pole sits on an eigenvalue (the
+            # retry path); the shift is overwritten with one whose pole sits
+            # mid-gap, at least half the widest gap (>= 2 pi / M) from every
+            # eigenvalue
+            eigenvalues = np.linalg.eigvals(U)
+            for alpha in (shift_rng.uniform(-np.pi, np.pi), np.angle(eigenvalues[0]) - np.pi):
+                shift = np.array(alpha)
+                assert np.max(np.abs(principal_log(U, shift) - want)) < 1e-12
+                pole = -np.exp(1j * shift)
+                assert np.min(np.abs(eigenvalues - pole)) > 2 * np.sin(np.pi / (2 * M)) - 1e-9
 
     def test_degenerate_spectra(self):
         # a diagonal phase lifts to a diagonal U with repeated eigenvalues
@@ -197,6 +209,15 @@ class TestPrincipalLog:
         assert shapes[:5] == [(4, lie.CAYLEY_SHIFT)] + [(1, lie.CAYLEY_SHIFT)] * 4
         assert shapes[5] == (2, lie.CAYLEY_SHIFT + 1)
         assert shapes[6][0] == 1 and len(shapes) == 7
+        # likewise with a carried shift per matrix; the pole of matrix 1
+        # again sits exactly on an eigenvalue and fails the stacked solve
+        shifts = np.array([0.3, lie.CAYLEY_SHIFT, -2.0, 1.0])
+        each = [np.array(alpha) for alpha in shifts]
+        got = principal_log(U, shifts)
+        for i in range(len(U)):
+            assert np.array_equal(got[i], principal_log(U[i], each[i]))
+            assert shifts[i] == each[i]
+            assert np.max(np.abs(got[i] - schur_log(U[i]))) < 1e-12
 
     def test_stack_names_non_unitary_member(self):
         from optiq.errors import UnitarityError
