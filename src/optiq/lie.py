@@ -95,8 +95,8 @@ def _cayley_pass(U, alpha):
     except np.linalg.LinAlgError:
         if len(U) == 1:
             return np.full(U.shape[:-1], np.nan), np.zeros_like(U)
-    each = alpha if isinstance(alpha, np.ndarray) else [alpha] * len(U)
-    return tuple(map(np.concatenate, zip(*(_cayley_pass(u[None], a) for u, a in zip(U, each)))))
+    each = zip(U, np.broadcast_to(alpha, len(U)))
+    return tuple(map(np.concatenate, zip(*(_cayley_pass(u[None], a) for u, a in each))))
 
 
 def _eigen_angles(U, Q):
