@@ -128,7 +128,7 @@ def principal_log(U, shifts=None) -> np.ndarray:
     v = Q diag(i theta) Q† is anti-Hermitized.
 
     Shift rule: the first pass takes alpha = CAYLEY_SHIFT, or with
-    ``shifts`` (a float array of shape U.shape[:-2]) each matrix's own
+    ``shifts`` (a float64 array of shape U.shape[:-2]) each matrix's own
     shift, and is kept when every |tan| is at most CAYLEY_BOUND. Otherwise
     the pole moves to the middle of the widest gap between the angles just
     read, at least 2 pi / M wide, and a second pass keeps every |tan|
@@ -149,8 +149,16 @@ def principal_log(U, shifts=None) -> np.ndarray:
     matrices that need them.
     """
     U = require_unitary(U, "principal_log input", stack=True)
+    if shifts is not None:
+        # written in place, so a copy made here would lose the next shifts
+        if not (isinstance(shifts, np.ndarray) and shifts.dtype == np.float64):
+            raise TypeError(f"shifts must be a float64 array, got {type(shifts).__name__} "
+                            f"of {getattr(shifts, 'dtype', None)}")
+        if shifts.shape != U.shape[:-2]:
+            raise ShapeError(f"shifts shape {shifts.shape} does not match the stack "
+                             f"shape {U.shape[:-2]}")
     flat = U.reshape((-1,) + U.shape[-2:])
-    first = CAYLEY_SHIFT if shifts is None else np.reshape(shifts, -1).astype(float)
+    first = CAYLEY_SHIFT if shifts is None else shifts.reshape(-1).copy()
     tans, Q = _cayley_pass(flat, first)
     worst = np.abs(tans).max(axis=-1)
     k = 0
@@ -169,7 +177,7 @@ def principal_log(U, shifts=None) -> np.ndarray:
         _, Q_wide = _cayley_eigh(U_wide, _mid_gap(theta[wide]))
         Q[wide], theta[wide] = Q_wide, _eigen_angles(U_wide, Q_wide)
     if shifts is not None:
-        shifts[...] = _mid_gap(theta).reshape(np.shape(shifts))
+        shifts[...] = _mid_gap(theta).reshape(shifts.shape)
     v = (Q * (1j * theta)[:, None, :]) @ _dagger(Q)
     return ((v - _dagger(v)) / 2.0).reshape(U.shape)
 

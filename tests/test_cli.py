@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import golden
-from optiq import serialize
+from optiq import cli, serialize
 from optiq.circuit import CircuitPlan, OpticalElement
 from optiq.cli import main
 from optiq.errors import NumericalInstabilityError, OptiqError
+from optiq.fock import enumerate_basis
 from optiq.homomorphism import evolution_matrix
 
 
@@ -163,6 +164,33 @@ class TestApproximateCommand:
             capsys.readouterr()
             assert run(["replay", str(out)]) == 1
             assert message in capsys.readouterr().err
+
+        # after a roundoff change another member at the same fixed point may
+        # represent a cluster: its iterations differ, and its scattering
+        # matrix may differ by an n-th root of unity (-1 for n = 2), which
+        # leaves its lift unchanged
+        report = json.loads(original)
+        cluster = report["clusters"][0]
+        cluster["iterations"] += 7
+        cluster["scattering_matrix"]["entries"] = \
+            (-np.array(cluster["scattering_matrix"]["entries"])).tolist()
+        out.write_text(json.dumps(report))
+        assert run(["replay", str(out)]) == 0
+
+    def test_replay_pairs_clusters_whose_distances_tie(self):
+        # tied clusters may come back in the other order; each recorded
+        # cluster is compared with the recomputed one nearest to it
+        basis = enumerate_basis(2, 2)
+
+        def cluster(S, distance, hits):
+            return {"final_distance": distance, "hit_count": hits, "converged": True,
+                    "scattering_matrix": S, "evolution_matrix": evolution_matrix(S, basis)}
+
+        a = cluster(np.eye(2, dtype=complex), 0.5, 3)
+        b = cluster(np.array([[1, 1], [1, -1]]) / np.sqrt(2), 0.5 + 1e-12, 5)
+        assert cli._mismatches([a, b], [b, a], basis) == []
+        assert cli._mismatches([{**a, "hit_count": 5}, b], [b, a], basis) == \
+            ["cluster 0 hit_count 5 recorded vs 3 recomputed"]
 
 
 CONFIG = {"m": 2, "n": 2, "ordering": "lex_desc", "tol": 1e-10, "max_iter": 400,

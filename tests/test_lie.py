@@ -218,6 +218,13 @@ class TestPrincipalLog:
             assert np.array_equal(got[i], principal_log(U[i], each[i]))
             assert shifts[i] == each[i]
             assert np.max(np.abs(got[i] - schur_log(U[i]))) < 1e-12
+        # shifts are written in place, so they must be a float64 array of
+        # the stack's shape
+        for bad, error in [(np.zeros(4, dtype=int), TypeError), ([0.0] * 4, TypeError),
+                           (0.0, TypeError), (np.zeros(3), ShapeError),
+                           (np.zeros((4, 1)), ShapeError)]:
+            with pytest.raises(error, match="shifts"):
+                principal_log(U, bad)
 
     def test_stack_names_non_unitary_member(self):
         from optiq.errors import UnitarityError
