@@ -277,7 +277,7 @@ def multi_start(U, image_basis: ImageBasis, k: int,
     Deterministic in all arguments. If runs fail, the error is that of the
     lowest-index failing start.
     """
-    if k < 1:
+    if require_int(k) < 1:
         raise ValueError(f"start count must be >= 1, got {k}")
     if not cluster_tol > 0:
         raise ValueError(f"cluster_tol must be positive, got {cluster_tol}")

@@ -25,13 +25,13 @@ import numpy as np
 from . import serialize
 from .approx import (DEFAULT_CLUSTER_TOL, DEFAULT_MAX_ITER, DEFAULT_TOL,
                      fidelity_bound, haar_random, multi_start)
-from .circuit import decompose
+from .circuit import decompose, reconstruct
 from .errors import (NumericalInstabilityError, OptiqError, ShapeError,
                      UnitarityError)
 from .fock import FockBasis, enumerate_basis
 from .homomorphism import evolution_matrix
 from .lie import build_image_basis, distance
-from .validate import require_int, require_unitary
+from .validate import require_int, require_unitary, unitarity_residual
 
 REPORT_VERSION = 1
 
@@ -228,9 +228,6 @@ def cmd_sample(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    from .circuit import reconstruct
-    from .validate import unitarity_residual
-
     S = serialize.load_matrix(args.scattering)
     plan = decompose(S)
     residual = distance(reconstruct(plan), S)

@@ -23,7 +23,6 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InternalConsistencyError, RankDeficiencyError, ShapeError
 from .fock import FockBasis
@@ -196,7 +195,9 @@ def polar_unitary(A) -> np.ndarray:
     """Closest unitary in Frobenius norm, or to each of a stack: the polar
     factor W Vh of the SVD A = W diag(s) Vh. LAPACK's gesdd can fail to
     converge on a finite, nearly unitary matrix; then each matrix of a stack
-    is factored alone, and one that fails again takes the slower gesvd."""
+    is factored alone, and one that fails again takes the slower gesvd.
+    That fallback is optiq's only use of scipy, which it imports on first
+    use, so a run that never needs it never loads scipy."""
     A = as_complex_matrix(A, "polar input", stack=True)
     try:
         W, _, Vh = np.linalg.svd(A)
@@ -204,6 +205,7 @@ def polar_unitary(A) -> np.ndarray:
         if A.ndim > 2:
             flat = A.reshape((-1,) + A.shape[-2:])
             return np.reshape([polar_unitary(a) for a in flat], A.shape)
+        import scipy.linalg
         W, _, Vh = scipy.linalg.svd(A, lapack_driver="gesvd")
     return W @ Vh
 
@@ -262,7 +264,7 @@ def _orthonormalize(vectors, preimages):
     # <u, v> = Re tr(u† v) is the dot product of the (re, im) float views
     flat = vectors.reshape(k, -1).view(float)
     try:
-        L = scipy.linalg.cholesky(flat @ flat.T, lower=True)
+        L = np.linalg.cholesky(flat @ flat.T)
     except np.linalg.LinAlgError:
         L = None
     if L is None or np.diagonal(L).min() < GRAM_SCHMIDT_DROP_TOL:
@@ -270,7 +272,7 @@ def _orthonormalize(vectors, preimages):
             "a Gram-Schmidt pivot fell below "
             f"{GRAM_SCHMIDT_DROP_TOL:g}; the lifted generators should be "
             "linearly independent")
-    L_inv = scipy.linalg.solve_triangular(L, np.eye(k), lower=True)
+    L_inv = np.linalg.solve(L, np.eye(k))
     elements = (L_inv @ flat).view(complex)
     pre = (L_inv @ preimages.reshape(k, -1).view(float)).view(complex)
     return elements.reshape(vectors.shape), pre.reshape(preimages.shape)

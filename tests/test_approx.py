@@ -306,6 +306,9 @@ class TestMultiStart:
     def test_validates_k(self, image22):
         with pytest.raises(ValueError):
             multi_start(golden.QFT3, image22, k=0)
+        for k in (True, 2.5):
+            with pytest.raises(TypeError):
+                multi_start(golden.QFT3, image22, k=k)
 
     def test_start_depends_only_on_seed_and_index(self, monkeypatch):
         # start i gets the same bits alone, among 7 or 50 starts, and in a
