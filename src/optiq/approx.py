@@ -10,9 +10,10 @@ an m x m generator h whose lift is v_T, so the step is taken in mode space,
 S_{i+1} = S_i exp(h), and the evolution iterate is the lift of the
 scattering iterate, U_{i+1} = lift(S_{i+1}). Every iterate is thus
 reachable by construction; the identity lift(h) = v_T that makes it the
-paper's step is checked at every step. Multi-start exploration draws
-Haar-random scattering matrices from per-run derived seeds and clusters the
-fixed points it finds.
+paper's step is checked at every step, on the image basis's support: both
+sides are zero off it. Multi-start exploration draws Haar-random
+scattering matrices from per-run derived seeds and clusters the fixed
+points it finds.
 
 One engine runs every start: the iterates of all unfinished starts form one
 (k, M, M) stack, and each step makes one stacked call of the log, the
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalInstabilityError, OptiqError, ShapeError
-from .homomorphism import evolution_matrix, second_quantize
+from .homomorphism import evolution_matrix, transition_entries
 from .lie import (CAYLEY_SHIFT, ImageBasis, distance, matrix_exp, polar_unitary,
                   principal_log, project)
 from .validate import frobenius_norm, require_int, require_unitary
@@ -57,7 +58,8 @@ REUNITARIZE_EVERY = 25
 MONOTONICITY_SLACK = 1e-6
 
 #: Bound on ||second_quantize(h) - v_T||_F at every step: the step's m x m
-#: generator must lift to the projected logarithm it stands for.
+#: generator must lift to the projected logarithm it stands for. Both are
+#: zero off the image basis's support, so the norm is taken there.
 WITNESS_TOL = 1e-8
 
 #: multi_start runs its starts in chunks whose (k, M, M) stack of
@@ -119,8 +121,8 @@ def approximate(U, start, image_basis: ImageBasis,
     against the previous normal-component norm, the inequalities exact
     arithmetic guarantees, and the step generator's lift against the
     projected logarithm; a violation beyond MONOTONICITY_SLACK or
-    WITNESS_TOL raises NumericalInstabilityError with the offending step
-    index.
+    WITNESS_TOL, or a distance or norm that is not finite, raises
+    NumericalInstabilityError with the offending step index.
     """
     return _iterate(U, [start], image_basis, tol, max_iter, keep_matrices)[0]
 
@@ -186,6 +188,11 @@ def _run(U, S, image_basis: ImageBasis, tol: float, max_iter: int,
         for r, (i, d_i, t_i, n_i, p_i) in enumerate(zip(
                 rows.tolist(), d.tolist(), tangent.tolist(), normal.tolist(),
                 prev_normal.tolist())):
+            if not all(map(math.isfinite, (d_i, t_i, n_i))):
+                # NaN would pass both bounds below, and the next step's too
+                raise NumericalInstabilityError(
+                    f"non-finite distance {d_i}, tangent norm {t_i} or normal norm {n_i}",
+                    step=step)
             if d_i > p_i + MONOTONICITY_SLACK:
                 raise NumericalInstabilityError(
                     f"distance {d_i:.12e} exceeds previous normal norm {p_i:.12e}",
@@ -208,7 +215,12 @@ def _run(U, S, image_basis: ImageBasis, tol: float, max_iter: int,
         if not go:
             break
         h = np.einsum("ak,kij->aij", coeffs, image_basis.preimages)
-        witness = frobenius_norm(second_quantize(h, fb) - v_T)
+        # both sides are zero off the support, and h's lift also past its
+        # transition positions, the first entries of the support
+        gap = v_T.reshape(len(v_T), -1)[:, image_basis.support]
+        lift = transition_entries(h, fb)
+        gap[:, :lift.shape[-1]] -= lift
+        witness = frobenius_norm(gap[:, None, :])
         bad = np.flatnonzero(~(witness <= WITNESS_TOL))  # also NaN
         if bad.size:
             raise NumericalInstabilityError(
@@ -308,7 +320,7 @@ def fidelity_bound(v_N_norm: float) -> float:
     The bound is vacuous (negative) once the normal component exceeds
     sqrt(2); the clamp keeps reports finite.
     """
-    if v_N_norm < 0:
+    if not v_N_norm >= 0:  # also NaN, which max() below would turn into -1
         raise ValueError(f"norm must be non-negative, got {v_N_norm}")
     return max(-1.0, 1.0 - 0.5 * v_N_norm * v_N_norm)
 

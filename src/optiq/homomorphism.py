@@ -13,6 +13,13 @@ quant-ph/0406127), the algebra lift from a†_j a_k = sum_r a†_j |r><r| a_k.
 The tables are built once per basis and kept on it, so a lift costs only
 its arithmetic. Both lift a stack (..., m, m) of matrices as well as a
 single one.
+
+A generator's lift is nonzero only at the P = M + m(m-1) dim(m, n-1)
+transition positions (the a†_j a_k, j != k, and the diagonal), 770 of the
+4 900 entries at M = 70. :func:`transition_entries` gives the lift there,
+and :func:`second_quantize` is those entries scattered into a dense M x M
+matrix; the projection and the engine's per-step witness read only the
+entries.
 """
 
 from __future__ import annotations
@@ -75,24 +82,45 @@ def evolution_matrix(S, basis: FockBasis) -> np.ndarray:
     return U
 
 
-def second_quantize(A, basis: FockBasis) -> np.ndarray:
-    """Lift an m x m generator, or a stack (..., m, m), to the photon space.
+def transition_positions(basis: FockBasis) -> np.ndarray:
+    """Flat positions (row * M + column) of the entries of an M x M lift
+    that a generator can make nonzero, in the order of
+    :func:`transition_entries`: the off-diagonal a†_j a_k, j != k, of every
+    state with one photon fewer, then the diagonal. There are
+    P = M + m(m-1) dim(m, n-1) of them, all distinct."""
+    up, *_ = _levels(basis)[-1]
+    j, k = np.nonzero(~np.eye(basis.m, dtype=bool))
+    M = len(basis)
+    return np.concatenate([(up[:, j] * M + up[:, k]).ravel(), np.arange(M) * (M + 1)])
 
-    Returns sum_{jk} A[j,k] a†_j a_k in the given basis: each off-diagonal
-    entry is A[j,k] w[r,j] w[r,k] for exactly one state r with one photon
-    fewer and j != k, and the diagonal is sum_j A[j,j] q_j. Anti-Hermitian
-    input yields anti-Hermitian output.
-    """
+
+def transition_entries(A, basis: FockBasis) -> np.ndarray:
+    """Entries of :func:`second_quantize` of A, or of each of a stack
+    (..., m, m), at :func:`transition_positions`; the lift is zero
+    everywhere else. Each off-diagonal entry is A[j,k] w[r,j] w[r,k] for
+    the one state r with one photon fewer that a†_j a_k takes it from, and
+    the diagonal is sum_j A[j,j] q_j."""
     A = np.asarray(A, dtype=complex)
     if A.shape[-2:] != (basis.m, basis.m):
         raise ShapeError(
             f"generator shape {A.shape} does not match basis with m={basis.m}")
-    up, w, occ, *_ = _levels(basis)[-1]
+    _, w, occ, *_ = _levels(basis)[-1]
     j, k = np.nonzero(~np.eye(basis.m, dtype=bool))
-    M = len(basis)
-    out = np.zeros(A.shape[:-2] + (M, M), dtype=complex)
-    out[..., up[:, j], up[:, k]] = A[..., None, j, k] * (w[:, j] * w[:, k])
-    diag = np.arange(M)
-    out[..., diag, diag] = (np.diagonal(A, axis1=-2, axis2=-1)[..., None, :] * occ).sum(-1)
-    return out
+    off = A[..., None, j, k] * (w[:, j] * w[:, k])
+    diag = (np.diagonal(A, axis1=-2, axis2=-1)[..., None, :] * occ).sum(-1)
+    return np.concatenate([off.reshape(A.shape[:-2] + (-1,)), diag], axis=-1)
 
+
+def second_quantize(A, basis: FockBasis) -> np.ndarray:
+    """Lift an m x m generator, or a stack (..., m, m), to the photon space.
+
+    Returns sum_{jk} A[j,k] a†_j a_k in the given basis: the
+    :func:`transition_entries` of A scattered to their
+    :func:`transition_positions`, zero elsewhere. Anti-Hermitian input
+    yields anti-Hermitian output.
+    """
+    entries = transition_entries(A, basis)
+    M = len(basis)
+    out = np.zeros(entries.shape[:-1] + (M * M,), dtype=complex)
+    out[..., transition_positions(basis)] = entries
+    return out.reshape(entries.shape[:-1] + (M, M))

@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from optiq.errors import (InternalConsistencyError, NumericalInstabilityError,
 from optiq.fock import enumerate_basis
 from optiq.homomorphism import evolution_matrix
 from optiq.lie import ImageBasis, build_image_basis, distance, principal_log
-from test_lie import record_cayley_passes
+from test_lie import off_pattern, record_cayley_passes
 
 
 def same_result(a, b):
@@ -167,6 +169,41 @@ class TestApproximate:
                 assert errors[1][1] < errors[0][1]
             assert raised(lambda: approx._iterate(golden.QFT3, starts, broken, 1e-10, 50)) == \
                 (errors[0] or errors[1])
+
+    def test_basis_corrupted_off_the_transition_pattern(self, image22):
+        # the pair enters v_T but not the lift of the step generator
+        with pytest.raises(NumericalInstabilityError, match="^" + re.escape(
+                "step 0: lifted step generator differs from the projected "
+                "logarithm by 2.120e-03") + "$"):
+            approximate(golden.QFT3, np.eye(2), off_pattern(image22))
+
+    @pytest.mark.parametrize("fault", ["distance", "normal", "off_support"])
+    def test_non_finite_norm_raises(self, image22, monkeypatch, fault):
+        # NaN passes both step bounds, so only a finiteness check stops it:
+        # a NaN distance, a NaN v_N, or a NaN in the log between |2,0> and
+        # |0,2>, off the support, which project leaves in v_N alone; each
+        # strikes at step 2 only
+        def log_nan_off_support(v):
+            v = v.copy()
+            v[..., 0, 1] = np.nan
+            return v
+
+        name, spoil = {
+            "distance": ("distance", lambda d: d * np.nan),
+            "normal": ("project", lambda out: (out[0], out[1] * np.nan, out[2])),
+            "off_support": ("principal_log", log_nan_off_support),
+        }[fault]
+        fn, calls = getattr(approx, name), itertools.count()
+
+        def spoiled(*args):
+            out = fn(*args)
+            return spoil(out) if next(calls) == 2 else out
+
+        monkeypatch.setattr(approx, name, spoiled)
+        with pytest.raises(NumericalInstabilityError,
+                           match=r"^step 2: non-finite distance ") as info:
+            approximate(golden.QFT3, np.eye(2), image22, max_iter=20)
+        assert info.value.step == 2
 
     def test_distance_bound_violation_raises(self, image22, monkeypatch):
         # d <= ||v|| in any arithmetic (a chord is never longer than its
@@ -354,3 +391,7 @@ class TestFidelityBound:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             fidelity_bound(-0.1)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            fidelity_bound(math.nan)

@@ -7,14 +7,30 @@ import pytest
 import golden
 from conftest import evolution_matrix_oracle, haar, permanent
 from optiq.errors import ShapeError
-from optiq.fock import enumerate_basis
-from optiq.homomorphism import evolution_matrix, second_quantize
+from optiq.fock import dimension, enumerate_basis
+from optiq.homomorphism import (_levels, evolution_matrix, second_quantize,
+                                transition_entries, transition_positions)
 from optiq.lie import matrix_exp
 
 
 def exp_lift(A, basis):
     """exp(second_quantize(A)); equals evolution_matrix(exp(A)) for A in u(m)."""
     return matrix_exp(second_quantize(A, basis))
+
+
+def second_quantize_dense(A, basis):
+    """Oracle: the dense lift as one fancy-indexed assignment per pattern,
+    sum_{jk} A[j,k] a†_j a_k with off-diagonal entries A[j,k] w[r,j] w[r,k]
+    and diagonal sum_j A[j,j] q_j."""
+    A = np.asarray(A, dtype=complex)
+    up, w, occ, *_ = _levels(basis)[-1]
+    j, k = np.nonzero(~np.eye(basis.m, dtype=bool))
+    M = len(basis)
+    out = np.zeros(A.shape[:-2] + (M, M), dtype=complex)
+    out[..., up[:, j], up[:, k]] = A[..., None, j, k] * (w[:, j] * w[:, k])
+    diag = np.arange(M)
+    out[..., diag, diag] = (np.diagonal(A, axis1=-2, axis2=-1)[..., None, :] * occ).sum(-1)
+    return out
 
 
 def permanent_naive(A):
@@ -179,6 +195,30 @@ class TestSecondQuantize:
     def test_shape_mismatch(self, basis22):
         with pytest.raises(ShapeError):
             second_quantize(np.zeros((3, 3)), basis22)
+        with pytest.raises(ShapeError):
+            transition_entries(np.zeros((3, 3)), basis22)
+
+    @pytest.mark.parametrize("m, n, ordering", [
+        pytest.param(2, 2, golden.ORDER_22, id="2-2-golden"),
+        pytest.param(3, 3, "lex_desc", id="3-3"),
+        pytest.param(5, 4, "lex_desc", id="5-4"),
+    ])
+    def test_scatter_of_transition_entries(self, m, n, ordering):
+        # the same bits as the dense oracle, on a stack and alone, and zero
+        # off the P = M + m(m-1) dim(m, n-1) distinct transition positions
+        basis = enumerate_basis(m, n, ordering=ordering)
+        M = len(basis)
+        rng = np.random.default_rng(m * 10 + n)
+        A = rng.standard_normal((2, 3, m, m)) + 1j * rng.standard_normal((2, 3, m, m))
+        got = second_quantize(A, basis)
+        assert np.array_equal(got, second_quantize_dense(A, basis))
+        assert np.array_equal(got[1, 2], second_quantize(A[1, 2], basis))
+        pos = transition_positions(basis)
+        assert len(np.unique(pos)) == len(pos) == M + m * (m - 1) * dimension(m, n - 1)
+        assert np.array_equal(got.reshape(2, 3, -1)[..., pos], transition_entries(A, basis))
+        off = np.ones(M * M, dtype=bool)
+        off[pos] = False
+        assert not got.reshape(2, 3, -1)[..., off].any()
 
 
 class TestExpLift:

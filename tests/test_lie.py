@@ -8,7 +8,7 @@ import golden
 from conftest import haar, schur_log
 from optiq import lie
 from optiq.errors import InternalConsistencyError, RankDeficiencyError, ShapeError
-from optiq.fock import enumerate_basis
+from optiq.fock import dimension, enumerate_basis
 from optiq.homomorphism import evolution_matrix, second_quantize
 from optiq.lie import (ImageBasis, _orthonormalize, build_image_basis,
                        distance, inner, matrix_exp, polar_unitary,
@@ -29,6 +29,15 @@ def near_first_pole(offset, rotate):
     phases = np.append(pole, np.exp(1j * np.linspace(-0.4, 2.9, 9)))
     Q = haar(rng, 10) if rotate else np.eye(10)
     return (Q * phases) @ Q.conj().T, phases
+
+
+def off_pattern(image22):
+    """The basis in ``ORDER_22`` with element 0 corrupted by an
+    anti-Hermitian pair between |2,0> and |0,2>, which no a†_j a_k
+    connects: off the transition pattern, so it joins the support."""
+    elements = image22.elements.copy()
+    elements[0, 0, 1], elements[0, 1, 0] = 1e-3, -1e-3
+    return ImageBasis(image22.basis, elements, image22.preimages)
 
 
 def record_cayley_passes(monkeypatch):
@@ -429,6 +438,33 @@ class TestProject:
         for i in range(len(v)):
             for got, want in zip((v_T[i], v_N[i], coeffs[i]), project(v[i], ib)):
                 assert np.array_equal(got, want)
+
+    def test_reads_only_the_support(self, image_and_oracle):
+        # the elements vanish off the P transition positions, and so does
+        # v_T: whatever v holds there, NaN included, stays in v_N alone
+        ib, _ = image_and_oracle
+        m, n, M = ib.basis.m, ib.basis.n, len(ib.basis)
+        assert len(ib.support) == M + m * (m - 1) * dimension(m, n - 1)
+        off = np.ones(M * M, dtype=bool)
+        off[ib.support] = False
+        assert not ib.elements.reshape(len(ib), -1)[:, off].any()
+        v = random_anti_hermitian(np.random.default_rng(16), M)
+        v_T, v_N, coeffs = project(v, ib)
+        w = v.copy()
+        w.reshape(-1)[off] = np.nan
+        w_T, w_N, w_coeffs = project(w, ib)
+        assert np.array_equal(w_T, v_T) and np.array_equal(w_coeffs, coeffs)
+        assert np.array_equal(np.isnan(w_N).reshape(-1), off)
+
+    def test_support_keeps_dense_semantics(self, image22):
+        ib = off_pattern(image22)
+        assert len(ib.support) == len(image22.support) + 2
+        v = random_anti_hermitian(np.random.default_rng(17), 3)
+        v_T, v_N, coeffs = project(v, ib)
+        want = np.array([inner(e, v) for e in ib.elements])
+        assert np.max(np.abs(coeffs - want)) < 1e-12
+        assert np.max(np.abs(v_T - sum(c * e for c, e in zip(want, ib.elements)))) < 1e-12
+        assert np.array_equal(v_N, v - v_T)
 
     def test_stack_names_member_with_complex_coefficients(self, image22):
         v = np.array([np.zeros((3, 3)), np.eye(3), np.eye(3)], dtype=complex)
