@@ -17,7 +17,7 @@ from .errors import (DimensionOverflowError, InternalConsistencyError,
                      UnitarityError, UnknownStateError)
 from .fock import FockBasis, dimension, enumerate_basis
 from .homomorphism import evolution_matrix, second_quantize
-from .lie import (ImageBasis, build_image_basis, distance, inner, matrix_exp,
+from .lie import (ImageBasis, build_image_basis, distance, matrix_exp,
                   polar_unitary, principal_log, project,
                   unitary_algebra_generators)
 
@@ -30,8 +30,8 @@ __all__ = [
     "OptiqError", "RankDeficiencyError", "ShapeError", "UnitarityError",
     "UnknownStateError", "approximate", "build_image_basis", "decompose",
     "derive_seed", "dimension", "distance", "enumerate_basis",
-    "evolution_matrix", "fidelity_bound", "haar_random", "inner",
-    "matrix_exp", "multi_start", "polar_unitary",
+    "evolution_matrix", "fidelity_bound", "haar_random", "matrix_exp",
+    "multi_start", "polar_unitary",
     "principal_log", "project", "reconstruct", "second_quantize",
     "unitary_algebra_generators",
 ]

@@ -18,8 +18,9 @@ A generator's lift is nonzero only at the P = M + m(m-1) dim(m, n-1)
 transition positions (the a†_j a_k, j != k, and the diagonal), 770 of the
 4 900 entries at M = 70. :func:`transition_entries` gives the lift there,
 and :func:`second_quantize` is those entries scattered into a dense M x M
-matrix; the projection and the engine's per-step witness read only the
-entries.
+matrix. The image basis is built and held on the entries alone, and the
+projection and the engine's per-step witness read only them; nothing in
+the package calls :func:`second_quantize`.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ from .fock import FockBasis, _compositions, enumerate_basis
 
 
 def _level(basis: FockBasis) -> tuple[np.ndarray, ...]:
-    """(up, w, occ, c, src, div) for the states of ``basis``: a†_j |r> =
-    w[r, j] |up[r, j]> for the lex-ordered states r with one photon fewer
-    (w = sqrt(r_j + 1)), and each state q's occupations occ[q], first
-    occupied mode c[q], state src[q] = q - e_c and div[q] = sqrt(q_c)."""
+    """(up, w, occ, c, src, div, pairs, ww) for the states of ``basis``:
+    a†_j |r> = w[r, j] |up[r, j]> for the lex-ordered states r with one
+    photon fewer (w = sqrt(r_j + 1)), and each state q's occupations
+    occ[q], first occupied mode c[q], state src[q] = q - e_c and
+    div[q] = sqrt(q_c); then the off-diagonal mode pairs (j, k), j != k,
+    as two index arrays, and ww[r, i] = w[r, j] w[r, k] for pair i."""
     m = basis.m
     lower = np.array(list(_compositions(m, basis.n - 1)))
     raised = lower[:, None, :] + np.eye(m, dtype=int)
@@ -44,7 +47,10 @@ def _level(basis: FockBasis) -> tuple[np.ndarray, ...]:
     hit = c[up] == np.arange(m)  # up[r, j] = q with j = c_q, once per q
     src = np.empty(len(basis), dtype=int)
     src[up[hit]] = np.nonzero(hit)[0]
-    return up, np.sqrt(lower + 1.0), occ, c, src, np.sqrt(occ[np.arange(len(basis)), c])
+    w = np.sqrt(lower + 1.0)
+    j, k = pairs = np.nonzero(~np.eye(m, dtype=bool))
+    return (up, w, occ, c, src, np.sqrt(occ[np.arange(len(basis)), c]),
+            pairs, w[:, j] * w[:, k])
 
 
 def _levels(basis: FockBasis) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -72,7 +78,7 @@ def evolution_matrix(S, basis: FockBasis) -> np.ndarray:
         raise ShapeError(
             f"scattering matrix shape {S.shape} does not match basis with m={basis.m}")
     U = np.ones(S.shape[:-2] + (1, 1), dtype=complex)
-    for up, w, _, c, src, div in _levels(basis):
+    for up, w, _, c, src, div, *_ in _levels(basis):
         prev = U[..., src]
         U = np.zeros(S.shape[:-2] + (len(c), len(c)), dtype=complex)
         for j in range(basis.m):  # the rows up[:, j] are distinct
@@ -88,8 +94,7 @@ def transition_positions(basis: FockBasis) -> np.ndarray:
     :func:`transition_entries`: the off-diagonal a†_j a_k, j != k, of every
     state with one photon fewer, then the diagonal. There are
     P = M + m(m-1) dim(m, n-1) of them, all distinct."""
-    up, *_ = _levels(basis)[-1]
-    j, k = np.nonzero(~np.eye(basis.m, dtype=bool))
+    up, *_, (j, k), _ = _levels(basis)[-1]
     M = len(basis)
     return np.concatenate([(up[:, j] * M + up[:, k]).ravel(), np.arange(M) * (M + 1)])
 
@@ -104,9 +109,8 @@ def transition_entries(A, basis: FockBasis) -> np.ndarray:
     if A.shape[-2:] != (basis.m, basis.m):
         raise ShapeError(
             f"generator shape {A.shape} does not match basis with m={basis.m}")
-    _, w, occ, *_ = _levels(basis)[-1]
-    j, k = np.nonzero(~np.eye(basis.m, dtype=bool))
-    off = A[..., None, j, k] * (w[:, j] * w[:, k])
+    _, _, occ, *_, (j, k), ww = _levels(basis)[-1]
+    off = A[..., None, j, k] * ww
     diag = (np.diagonal(A, axis1=-2, axis2=-1)[..., None, :] * occ).sum(-1)
     return np.concatenate([off.reshape(A.shape[:-2] + (-1,)), diag], axis=-1)
 

@@ -1,18 +1,19 @@
 """Metric, logarithm, exponential and projection machinery on u(M).
 
-The inner product is <u, v> = (1/2) tr(u† v + v† u) = Re tr(u† v), whose
-norm is the Frobenius norm. The reachable subalgebra (the image of the
-generator lift from u(m)) is m^2-dimensional. :func:`build_image_basis`
-lifts the canonical basis of u(m) in one stacked call, factors the Gram
-matrix of the lifts as L L^T (Cholesky) and applies L^{-1} to the lifts and
-to their u(m) preimages alike. That is Gram-Schmidt in generator order with
-positive pivots, and it keeps the preimage of every element, so projections
-can be pulled back to mode space exactly. Every element vanishes off the
-transition positions of the Fock basis (about 16 % of the entries at
-M = 70), so :func:`project` and the engine's per-step witness read each
-element only on its :class:`ImageBasis` ``support``. :func:`principal_log`
-diagonalizes a unitary through one Hermitian ``eigh`` of a shifted Cayley
-transform.
+The trace metric is the inner product <u, v> = (1/2) tr(u† v + v† u) =
+Re tr(u† v), whose norm is the Frobenius norm. The reachable subalgebra
+(the image of the generator lift from u(m)) is m^2-dimensional. Every
+lifted generator vanishes off the transition positions of the Fock basis
+(about 16 % of the entries at M = 70), so the basis is built and held only
+there: :func:`build_image_basis` lifts the canonical basis of u(m) to its
+entries on those positions in one stacked call, factors their Gram matrix
+as L L^T (Cholesky) and applies L^{-1} to the entries and to their u(m)
+preimages alike. That is Gram-Schmidt in generator order with positive
+pivots, and it keeps the preimage of every element, so projections can be
+pulled back to mode space exactly. :func:`project` and the engine's
+per-step witness read each element only on its :class:`ImageBasis`
+``support``. :func:`principal_log` diagonalizes a unitary through one
+Hermitian ``eigh`` of a shifted Cayley transform.
 
 :func:`principal_log`, :func:`matrix_exp`, :func:`polar_unitary`,
 :func:`project` and :func:`distance` also take a stack (..., M, M) and act
@@ -24,13 +25,15 @@ of any size as on its own.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InternalConsistencyError, RankDeficiencyError, ShapeError
 from .fock import FockBasis
-from .homomorphism import second_quantize, transition_positions
+# second_quantize is not called here; perfbench/spans.py wraps it by this name
+from .homomorphism import (second_quantize, transition_entries,  # noqa: F401
+                           transition_positions)
 from .validate import (as_complex_matrix, frobenius_norm, require_same_shape,
                        require_unitary)
 
@@ -52,14 +55,6 @@ CAYLEY_SHIFT = 0.6
 #: eigenvalue) its angles are too wrong to place the next pole by.
 CAYLEY_BOUND = 100.0
 CAYLEY_POLE_BOUND = 1e5
-
-
-def inner(u, v) -> float:
-    """Real inner product (1/2) tr(u† v + v† u); inner(u, u) = ||u||_F^2."""
-    u = as_complex_matrix(u, "inner operand")
-    v = as_complex_matrix(v, "inner operand")
-    require_same_shape(u, v, "inner operands")
-    return float(np.real(np.sum(np.conj(u) * v)))
 
 
 def distance(A, B):
@@ -239,48 +234,42 @@ def unitary_algebra_generators(m: int) -> list[np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class ImageBasis:
-    """Orthonormal basis of the reachable subalgebra, with u(m) preimages.
+    """Orthonormal basis of the reachable subalgebra, with u(m) preimages,
+    held only where its M x M elements can be nonzero.
 
-    ``elements[i]`` is M x M, orthonormal under :func:`inner`;
-    ``preimages[i]`` is the m x m generator whose lift equals it by the
-    linearity of the orthogonalization. Immutable; share freely.
-
-    ``support`` holds the flat positions (row * M + column) of the
-    basis's transition positions (see
-    :func:`optiq.homomorphism.transition_positions`), in that order, then
-    any other position where an element is nonzero, so a hand-built basis
-    keeps its dense meaning; ``values[i]`` is ``elements[i]`` there. Every
-    element is zero off the support, and :func:`project` and the engine's
-    witness read only these two arrays, never the dense ``elements``.
+    ``support`` holds flat positions (row * M + column) of an M x M
+    matrix: :func:`build_image_basis` gives the basis's transition
+    positions (see :func:`optiq.homomorphism.transition_positions`), in
+    that order. ``values[i]`` is element i there, and the element is zero
+    everywhere else; the elements are orthonormal under the trace metric.
+    ``preimages[i]`` is the m x m generator whose lift equals element i by
+    the linearity of the orthogonalization. Immutable; share freely.
     """
 
     basis: FockBasis
-    elements: np.ndarray   # (m*m, M, M)
+    support: np.ndarray    # (P,)
+    values: np.ndarray     # (m*m, P)
     preimages: np.ndarray  # (m*m, m, m)
-    support: np.ndarray = field(init=False, repr=False)  # (P,)
-    values: np.ndarray = field(init=False, repr=False)   # (m*m, P)
-
-    def __post_init__(self):
-        flat = self.elements.reshape(len(self), -1)
-        elsewhere = np.zeros(flat.shape[1], dtype=bool)
-        for e in flat:  # one M x M mask at a time, never a stack of them
-            elsewhere |= e != 0
-        positions = transition_positions(self.basis)
-        elsewhere[positions] = False
-        support = np.concatenate([positions, np.flatnonzero(elsewhere)])
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "values", np.asarray(flat.take(support, axis=1), dtype=complex))
 
     def __len__(self) -> int:
-        return self.elements.shape[0]
+        return len(self.preimages)
+
+    @property
+    def elements(self) -> np.ndarray:
+        """The dense (m*m, M, M) elements, scattered from ``values`` anew on
+        each access; nothing in the package reads them."""
+        M = len(self.basis)
+        dense = np.zeros((len(self), M * M), dtype=complex)
+        dense[:, self.support] = self.values
+        return dense.reshape(len(self), M, M)
 
 
 def _orthonormalize(vectors, preimages):
     """Orthonormalize ``vectors`` in order, carrying the same real linear
     combinations on ``preimages``; returns both as stacked arrays.
 
-    With G = L L^T the Cholesky factorization of the Gram matrix under
-    :func:`inner`, the rows of L^{-1} V are what Gram-Schmidt makes of the
+    With G = L L^T the Cholesky factorization of the Gram matrix under the
+    trace metric, the rows of L^{-1} V are what Gram-Schmidt makes of the
     rows of V, and the pivots L[i, i] are the norms it divides by.
     """
     vectors = np.asarray(vectors, dtype=complex)
@@ -306,19 +295,22 @@ def _orthonormalize(vectors, preimages):
 def build_image_basis(basis: FockBasis) -> ImageBasis:
     """Orthonormal basis of the image subalgebra for the given Fock basis.
 
-    Lifts the canonical u(m) generators and orthonormalizes them under the
-    trace metric, tracking preimages so that
-    ``second_quantize(preimages[i]) == elements[i]`` to roundoff.
+    Lifts the canonical u(m) generators to their entries on the transition
+    positions, the only entries a lift can make nonzero, and
+    orthonormalizes those under the trace metric, tracking preimages so
+    that ``transition_entries(preimages[i]) == values[i]`` to roundoff. No
+    dense M x M element is ever formed.
     """
     gens = np.array(unitary_algebra_generators(basis.m))
-    return ImageBasis(basis, *_orthonormalize(second_quantize(gens, basis), gens))
+    values, preimages = _orthonormalize(transition_entries(gens, basis), gens)
+    return ImageBasis(basis, transition_positions(basis), values, preimages)
 
 
 def project(v, image_basis: ImageBasis):
     """Orthogonal decomposition of v, or of each of a stack, against the
     image subalgebra.
 
-    Returns ``(v_T, v_N, coeffs)`` with v_T = sum coeffs[i] * elements[i],
+    Returns ``(v_T, v_N, coeffs)`` with v_T = sum coeffs[i] * element i,
     v_N = v - v_T, and coeffs real, with coeffs of shape (..., len(basis))
     for a stack. The coefficients of an anti-Hermitian v against
     anti-Hermitian basis elements are real in exact arithmetic; a noticeable
@@ -330,10 +322,10 @@ def project(v, image_basis: ImageBasis):
     stays in v_N.
     """
     v = as_complex_matrix(v, "projection input", stack=True)
-    if v.shape[-2:] != image_basis.elements.shape[1:]:
+    M = len(image_basis.basis)
+    if v.shape[-2:] != (M, M):
         raise ShapeError(
-            f"cannot project shape {v.shape} onto a basis of shape "
-            f"{image_basis.elements.shape[1:]}")
+            f"cannot project shape {v.shape} onto a basis of shape {(M, M)}")
     E, support = image_basis.values, image_basis.support
     on = v.reshape(v.shape[:-2] + (-1,))[..., support]
     # conj(E conj(v)) is tr(e† v) without a conjugated copy of the basis;

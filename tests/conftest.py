@@ -7,7 +7,9 @@ import scipy.linalg
 import golden
 from optiq.errors import ShapeError
 from optiq.fock import enumerate_basis
-from optiq.lie import build_image_basis
+from optiq.homomorphism import transition_positions
+from optiq.lie import ImageBasis, build_image_basis
+from optiq.validate import as_complex_matrix, require_same_shape
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +36,28 @@ def image22_lex(basis22_lex):
 @pytest.fixture(scope="session")
 def image23():
     return build_image_basis(enumerate_basis(2, 3))
+
+
+def inner(u, v) -> float:
+    """The trace metric (1/2) tr(u† v + v† u); inner(u, u) = ||u||_F^2."""
+    u = as_complex_matrix(u, "inner operand")
+    v = as_complex_matrix(v, "inner operand")
+    require_same_shape(u, v, "inner operands")
+    return float(np.real(np.sum(np.conj(u) * v)))
+
+
+def dense_image_basis(basis, elements, preimages):
+    """An ImageBasis from dense (m*m, M, M) elements, for hand-built and
+    corrupted bases: its support is the basis's transition positions, then
+    every other position where an element is nonzero, so the basis keeps
+    exactly its dense meaning."""
+    flat = np.asarray(elements, dtype=complex).reshape(len(elements), -1)
+    positions = transition_positions(basis)
+    elsewhere = flat.any(axis=0)
+    elsewhere[positions] = False
+    support = np.concatenate([positions, np.flatnonzero(elsewhere)])
+    return ImageBasis(basis, support, flat.take(support, axis=1),
+                      np.asarray(preimages, dtype=complex))
 
 
 def haar(rng, m):

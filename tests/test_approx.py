@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import golden
-from conftest import haar
+from conftest import dense_image_basis, haar
 from optiq import approx
 from optiq.approx import (approximate, derive_seed, fidelity_bound,
                           haar_random, multi_start)
@@ -14,7 +14,7 @@ from optiq.errors import (InternalConsistencyError, NumericalInstabilityError,
                           OptiqError, ShapeError, UnitarityError)
 from optiq.fock import enumerate_basis
 from optiq.homomorphism import evolution_matrix
-from optiq.lie import ImageBasis, build_image_basis, distance, principal_log
+from optiq.lie import build_image_basis, distance, principal_log
 from test_lie import off_pattern, record_cayley_passes
 
 
@@ -144,11 +144,12 @@ class TestApproximate:
         # generator, and a non-anti-Hermitian element the projection; start
         # `late` fails at a later step than start 1, at the same step with
         # its own witness value, or not at all
-        steps = ImageBasis(image22.basis, image22.elements * 1.5, image22.preimages * 1.5)
-        witness = ImageBasis(image22.basis, image22.elements, image22.preimages * 1.01)
+        steps = dense_image_basis(image22.basis, image22.elements * 1.5,
+                                  image22.preimages * 1.5)
+        witness = dense_image_basis(image22.basis, image22.elements, image22.preimages * 1.01)
         elements = image22.elements.copy()
         elements[0] += 9e-10 * np.eye(3)
-        kernel = ImageBasis(image22.basis, elements, image22.preimages)
+        kernel = dense_image_basis(image22.basis, elements, image22.preimages)
         for broken, late, cls in ((steps, 5, NumericalInstabilityError),
                                   (witness, 2, NumericalInstabilityError),
                                   (kernel, 4, InternalConsistencyError)):

@@ -5,11 +5,13 @@ import pytest
 
 import golden
 from optiq import cli, serialize
+from optiq.approx import approximate, haar_random, multi_start
 from optiq.circuit import CircuitPlan, OpticalElement
 from optiq.cli import main
 from optiq.errors import NumericalInstabilityError, OptiqError
 from optiq.fock import enumerate_basis
 from optiq.homomorphism import evolution_matrix
+from optiq.lie import ImageBasis, build_image_basis
 
 
 def plan_from_obj(obj) -> CircuitPlan:
@@ -45,6 +47,21 @@ def run(args):
 
 
 class TestApproximateCommand:
+    def test_nothing_reads_dense_elements(self, tmp_path, qft3_file, order_file,
+                                          monkeypatch):
+        # the package builds and reads its image bases on the support alone
+        def dense(self):
+            raise AssertionError("ImageBasis.elements was read")
+
+        monkeypatch.setattr(ImageBasis, "elements", property(dense))
+        ib = build_image_basis(enumerate_basis(3, 3))
+        U = haar_random(10, 5)
+        assert approximate(U, np.eye(3), ib, max_iter=50).iterations > 0
+        assert len(multi_start(U, ib, k=3, max_iter=50)) >= 1
+        assert run(["approximate", qft3_file, "-m", "2", "-n", "2",
+                    "--ordering", order_file, "--starts", "3",
+                    "-o", str(tmp_path / "report.json")]) == 0
+
     def test_small_run_and_replay(self, tmp_path, qft3_file, order_file):
         out = tmp_path / "report.json"
         code = run(["approximate", qft3_file, "-m", "2", "-n", "2",

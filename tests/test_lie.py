@@ -1,18 +1,19 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import golden
-from conftest import haar, schur_log
+from conftest import dense_image_basis, haar, inner, schur_log
 from optiq import lie
 from optiq.errors import InternalConsistencyError, RankDeficiencyError, ShapeError
 from optiq.fock import dimension, enumerate_basis
 from optiq.homomorphism import evolution_matrix, second_quantize
-from optiq.lie import (ImageBasis, _orthonormalize, build_image_basis,
-                       distance, inner, matrix_exp, polar_unitary,
-                       principal_log, project, unitary_algebra_generators)
+from optiq.lie import (_orthonormalize, build_image_basis, distance,
+                       matrix_exp, polar_unitary, principal_log, project,
+                       unitary_algebra_generators)
 
 
 def random_anti_hermitian(rng, d):
@@ -37,7 +38,7 @@ def off_pattern(image22):
     connects: off the transition pattern, so it joins the support."""
     elements = image22.elements.copy()
     elements[0, 0, 1], elements[0, 1, 0] = 1e-3, -1e-3
-    return ImageBasis(image22.basis, elements, image22.preimages)
+    return dense_image_basis(image22.basis, elements, image22.preimages)
 
 
 def record_cayley_passes(monkeypatch):
@@ -308,6 +309,14 @@ def test_polar_unitary_falls_back_to_gesvd(monkeypatch):
     assert np.array_equal(polar_unitary(A[1]), W @ Vh)
 
 
+def dense_build(basis):
+    """Reference: the u(m) generators lifted to whole M x M matrices and
+    orthonormalized as one (m*m, M, M) stack; returns (elements,
+    preimages)."""
+    gens = np.array(unitary_algebra_generators(basis.m))
+    return _orthonormalize(second_quantize(gens, basis), gens)
+
+
 def gram_schmidt_oracle(basis):
     """Modified Gram-Schmidt with one re-orthogonalization pass over the
     lifted u(m) generators, carrying the same combinations on the
@@ -368,6 +377,32 @@ class TestImageBasis:
             assert np.linalg.norm(w - b) < 1e-9
         assert np.array_equal(second_quantize(ib.preimages, ib.basis), each)
         assert np.max(np.abs(ib.preimages - oracle[1])) < 1e-12
+
+    @pytest.mark.parametrize("m, n, ordering, tol", [
+        pytest.param(2, 2, golden.ORDER_22, 0.0, id="2-2-golden"),
+        pytest.param(2, 2, "lex_desc", 0.0, id="2-2-lex"),
+        pytest.param(2, 3, "lex_desc", 0.0, id="2-3"),
+        pytest.param(3, 3, "lex_desc", 1e-15, id="3-3"),
+        pytest.param(4, 4, "lex_desc", 1e-15, id="4-4"),
+    ])
+    def test_matches_dense_build(self, m, n, ordering, tol):
+        # same Gram-Schmidt, but its dot products skip the zeros off the
+        # support, which can move the last bit
+        ib = build_image_basis(enumerate_basis(m, n, ordering=ordering))
+        elements, preimages = dense_build(ib.basis)
+        assert np.max(np.abs(ib.elements - elements)) <= tol
+        assert np.max(np.abs(ib.preimages - preimages)) <= tol
+
+    def test_build_holds_no_dense_lifts(self):
+        # at M = 252 the dense (36, M, M) lifts alone take 36.6 MB
+        basis = enumerate_basis(6, 5)
+        tracemalloc.start()
+        try:
+            build_image_basis(basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     def test_rank_deficiency_detected(self):
         v = np.zeros((2, 2), dtype=complex)
