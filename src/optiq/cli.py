@@ -18,7 +18,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -80,18 +79,46 @@ def _parse_ordering(value: str):
 
 
 def _write_output(path: str, obj) -> None:
-    text = serialize.dumps_canonical(obj)
     if path == "-":
-        sys.stdout.write(text)
+        serialize.dump_canonical(obj, sys.stdout)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        serialize.save_json(path, obj)
 
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _run_multi_start(config: RunConfig, target: np.ndarray, include_trace: bool) -> dict:
+def _cluster_builder(result, hits: int, include_trace: bool):
+    """A zero-argument builder of one cluster's report entry. What can raise
+    (the bound and the mesh) runs now; the matrices as lists and the trace
+    as dicts are built only when called, for the writer to drop once written."""
+    bound = fidelity_bound(result.trace[-1].normal_norm)
+    plan = decompose(result.scattering)
+
+    def build() -> dict:
+        entry = {
+            "final_distance": result.final_distance,
+            "fidelity_bound": bound,
+            "hit_count": hits,
+            "converged": result.converged,
+            "iterations": result.iterations,
+            "scattering_matrix": serialize.matrix_to_obj(result.scattering),
+            "evolution_matrix": serialize.matrix_to_obj(result.evolution),
+            "circuit": serialize.plan_to_obj(plan),
+        }
+        if include_trace:
+            entry["trace"] = [
+                {"step": r.step, "distance": r.distance,
+                 "tangent_norm": r.tangent_norm, "normal_norm": r.normal_norm}
+                for r in result.trace]
+        return entry
+    return build
+
+
+def _run_multi_start(config: RunConfig, target: np.ndarray, include_trace: bool):
+    """The engine's clusters, and the report whose clusters are builders
+    (see :func:`_cluster_builder`) that the writer calls one at a time."""
     basis = config.basis()
     if target.shape[0] != len(basis):
         raise ShapeError(
@@ -102,30 +129,14 @@ def _run_multi_start(config: RunConfig, target: np.ndarray, include_trace: bool)
     clusters = multi_start(target, image_basis, config.starts,
                            tol=config.tol, max_iter=config.max_iter,
                            rng_seed=config.rng_seed, cluster_tol=config.cluster_tol)
-    cluster_objs = []
-    for result, hits in clusters:
-        entry = {
-            "final_distance": result.final_distance,
-            "fidelity_bound": fidelity_bound(result.trace[-1].normal_norm),
-            "hit_count": hits,
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "scattering_matrix": serialize.matrix_to_obj(result.scattering),
-            "evolution_matrix": serialize.matrix_to_obj(result.evolution),
-            "circuit": serialize.plan_to_obj(decompose(result.scattering)),
-        }
-        if include_trace:
-            entry["trace"] = [
-                {"step": r.step, "distance": r.distance,
-                 "tangent_norm": r.tangent_norm, "normal_norm": r.normal_norm}
-                for r in result.trace]
-        cluster_objs.append(entry)
-    return {
+    report = {
         "format_version": REPORT_VERSION,
         "config": config.to_obj(),
         "target": serialize.matrix_to_obj(target),
-        "clusters": cluster_objs,
+        "clusters": [_cluster_builder(result, hits, include_trace)
+                     for result, hits in clusters],
     }
+    return clusters, report
 
 
 def cmd_approximate(args) -> int:
@@ -134,12 +145,12 @@ def cmd_approximate(args) -> int:
                        tol=args.tol, max_iter=args.max_iter, starts=args.starts,
                        rng_seed=args.seed, cluster_tol=args.cluster_tol)
     target = serialize.load_matrix(args.target)
-    report = _run_multi_start(config, target, args.trace)
+    clusters, report = _run_multi_start(config, target, args.trace)
     _write_output(args.output, report)
-    best = report["clusters"][0]
-    _log(f"{len(report['clusters'])} cluster(s); best distance "
-         f"{best['final_distance']:.9f} (fidelity bound {best['fidelity_bound']:.6f})")
-    if not best["converged"]:
+    best = clusters[0][0]
+    _log(f"{len(clusters)} cluster(s); best distance {best.final_distance:.9f} "
+         f"(fidelity bound {fidelity_bound(best.trace[-1].normal_norm):.6f})")
+    if not best.converged:
         _log(f"warning: the best cluster did not converge within "
              f"max_iter={config.max_iter} iterations")
     return 0
@@ -205,8 +216,9 @@ def cmd_replay(args) -> int:
         raise OptiqError(f"malformed report: {exc!r}") from None
     config = RunConfig.from_obj(config_obj)
     target = serialize.matrix_from_obj(target_obj)
-    fresh = _run_multi_start(config, target, include_trace=False)
-    found = _mismatches(old, [_cluster_fields(c) for c in fresh["clusters"]], config.basis())
+    _, fresh = _run_multi_start(config, target, include_trace=False)
+    found = _mismatches(old, [_cluster_fields(build()) for build in fresh["clusters"]],
+                        config.basis())
     for line in found:
         _log(f"replay mismatch: {line}")
     if found:

@@ -251,6 +251,10 @@ class ImageBasis:
     values: np.ndarray     # (m*m, P)
     preimages: np.ndarray  # (m*m, m, m)
 
+    def __post_init__(self):
+        # project views values as floats, which needs them in C order
+        object.__setattr__(self, "values", np.ascontiguousarray(self.values))
+
     def __len__(self) -> int:
         return len(self.preimages)
 

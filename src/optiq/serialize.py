@@ -8,6 +8,12 @@ A plain-text matrix reader is also accepted for convenience: one row per
 line, whitespace-separated complex literals such as ``0.5``, ``-2i`` or
 ``0.3-0.7i`` (``j`` works too). All writers emit canonical JSON (sorted
 keys, two-space indent), so identical data produces identical bytes.
+They stream it: :func:`dump_canonical` writes to a file the very bytes
+:func:`dumps_canonical` returns, without holding them, and a zero-argument
+callable in the data stands for the tree it returns, built only when the
+writer reaches it. :func:`save_json` writes a sibling temporary file and
+renames it over the destination, so a failed write leaves an earlier file
+untouched.
 Both matrix readers reject NaN and infinite entries; the JSON reader also
 rejects entries that are not numbers, booleans included.
 """
@@ -15,6 +21,7 @@ rejects entries that are not numbers, booleans included.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +32,49 @@ from .errors import OptiqError, ShapeError
 FORMAT_VERSION = 1
 
 
+def _build_deferred(o):
+    """json's hook for objects it cannot encode: a zero-argument builder
+    stands for the tree it returns."""
+    if callable(o):
+        return o()
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+_CANONICAL = json.JSONEncoder(indent=2, sort_keys=True, default=_build_deferred)
+
+
+def dump_canonical(obj, f) -> None:
+    """Write the canonical encoding of obj to the text file f, chunk by chunk."""
+    for chunk in _CANONICAL.iterencode(obj):
+        f.write(chunk)
+    f.write("\n")
+
+
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return "".join(_CANONICAL.iterencode(obj)) + "\n"
 
 
 def save_json(path, obj) -> None:
-    Path(path).write_text(dumps_canonical(obj), encoding="utf-8")
+    """Write obj canonically to a sibling temporary file, then rename it over
+    path; on any error remove the temporary file and leave path as it was.
+    Errors opening or renaming name path, as a plain open would."""
+    path = Path(path)
+    # mode "x": a plain open's permissions, not mkstemp's 0600, on a new file
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        f = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with f:
+            dump_canonical(obj, f)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_json(path):

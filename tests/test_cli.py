@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ import pytest
 import golden
 from optiq import cli, serialize
 from optiq.approx import approximate, haar_random, multi_start
-from optiq.circuit import CircuitPlan, OpticalElement
+from optiq.circuit import CircuitPlan, OpticalElement, decompose
 from optiq.cli import main
-from optiq.errors import NumericalInstabilityError, OptiqError
+from optiq.errors import InternalConsistencyError, NumericalInstabilityError, OptiqError
 from optiq.fock import enumerate_basis
 from optiq.homomorphism import evolution_matrix
 from optiq.lie import ImageBasis, build_image_basis
@@ -139,6 +140,85 @@ class TestApproximateCommand:
         assert run(["approximate", qft3_file, "-m", "2", "-n", "2", "-o", str(out)]) == 4
         assert capsys.readouterr().err == "error: step 3: geodesic norm grew\n"
         assert not out.exists()
+
+    def test_report_streams_one_cluster_at_a_time(self, tmp_path):
+        # the writer holds one cluster's lists and dicts at a time, never the
+        # whole report as a tree, as chunks or as one string
+        U = haar_random(10, 3)
+        target = tmp_path / "target.json"
+        serialize.save_matrix(target, U)
+        ib = build_image_basis(enumerate_basis(3, 3))
+        multi_start(U, ib, k=3)  # lift tables and first-call caches
+        tracemalloc.start()
+        try:
+            multi_start(U, ib, k=50)
+            engine = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert run(["approximate", str(target), "-m", "3", "-n", "3",
+                        "--starts", "50", "--trace",
+                        "-o", str(tmp_path / "report.json")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= engine + 1e6, (peak, engine)
+
+    @pytest.mark.parametrize("trace", [False, True], ids=["plain", "trace"])
+    def test_streamed_report_matches_eager_encoding(self, tmp_path, capsys, qft3_file,
+                                                    order_file, trace):
+        args = ["approximate", qft3_file, "-m", "2", "-n", "2",
+                "--ordering", order_file, "--starts", "6", "--seed", "3",
+                "--max-iter", "400"] + (["--trace"] if trace else [])
+        out = tmp_path / "report.json"
+        assert run(args + ["-o", str(out)]) == 0
+        config = cli.RunConfig(m=2, n=2, ordering=[list(s) for s in golden.ORDER_22],
+                               max_iter=400, starts=6, rng_seed=3)
+        clusters, report = cli._run_multi_start(config, serialize.load_matrix(qft3_file),
+                                                trace)
+        assert len(clusters) > 1
+        eager = {**report, "clusters": [build() for build in report["clusters"]]}
+        assert out.read_text(encoding="utf-8") == serialize.dumps_canonical(eager)
+        capsys.readouterr()
+        assert run(args + ["-o", "-"]) == 0
+        assert capsys.readouterr().out == serialize.dumps_canonical(eager)
+
+    def test_failed_write_keeps_earlier_report(self, tmp_path, qft3_file, order_file,
+                                               monkeypatch):
+        out = tmp_path / "report.json"
+        out.write_bytes(b"earlier report\n")
+        before = sorted(tmp_path.iterdir())
+        to_obj, calls = serialize.matrix_to_obj, []
+
+        def failing(A):
+            calls.append(1)
+            if len(calls) == 5:  # the target, then cluster 0's two, then cluster 1's
+                raise OSError("disk full")
+            return to_obj(A)
+
+        monkeypatch.setattr(serialize, "matrix_to_obj", failing)
+        assert run(["approximate", qft3_file, "-m", "2", "-n", "2",
+                    "--ordering", order_file, "--starts", "6", "--seed", "3",
+                    "--max-iter", "400", "-o", str(out)]) == 1
+        assert len(calls) == 5
+        assert out.read_bytes() == b"earlier report\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_failing_cluster_opens_no_file(self, tmp_path, capsys, qft3_file, order_file,
+                                           monkeypatch):
+        plans = []
+
+        def failing(S):
+            plans.append(S)
+            if len(plans) == 2:
+                raise InternalConsistencyError("mesh does not reconstruct")
+            return decompose(S)
+
+        monkeypatch.setattr(cli, "decompose", failing)
+        before = sorted(tmp_path.iterdir())
+        assert run(["approximate", qft3_file, "-m", "2", "-n", "2",
+                    "--ordering", order_file, "--starts", "6", "--seed", "3",
+                    "--max-iter", "400", "-o", str(tmp_path / "report.json")]) == 1
+        assert capsys.readouterr().err == "error: mesh does not reconstruct\n"
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("option,value", [
         ("--starts", "0"), ("--tol", "0"), ("--max-iter", "0"), ("--cluster-tol", "0"),

@@ -412,6 +412,15 @@ class TestImageBasis:
 
 
 class TestProject:
+    def test_fortran_ordered_values_project_the_same(self):
+        ib = build_image_basis(enumerate_basis(3, 3))
+        f_ordered = lie.ImageBasis(ib.basis, ib.support, np.asfortranarray(ib.values),
+                                   ib.preimages)
+        assert f_ordered.values.flags.c_contiguous
+        v = random_anti_hermitian(np.random.default_rng(60), len(ib.basis))
+        for got, want in zip(project(v, f_ordered), project(v, ib)):
+            assert np.array_equal(got, want)
+
     def test_basis_element_projects_to_itself(self, image22):
         b0 = image22.elements[0]
         v_T, v_N, coeffs = project(b0, image22)

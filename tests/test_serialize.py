@@ -82,3 +82,41 @@ class TestPlanFormat:
         with pytest.raises(OptiqError):
             plan_from_obj({"m": 2, "elements": [{"kind": "beam_splitter"}],
                                      "residual_phases": [0, 0]})
+
+
+class TestCanonicalWriter:
+    OBJ = {"b": [1.5, {"z": None, "a": True}], "a": "text", "c": []}
+
+    def test_stream_writes_the_canonical_bytes(self, tmp_path):
+        path = tmp_path / "obj.json"
+        with open(path, "w", encoding="utf-8") as f:
+            serialize.dump_canonical(self.OBJ, f)
+        text = json.dumps(self.OBJ, indent=2, sort_keys=True) + "\n"
+        assert serialize.dumps_canonical(self.OBJ) == text
+        assert path.read_text(encoding="utf-8") == text
+
+    def test_builders_stand_for_their_trees(self):
+        deferred = {"b": [1.5, lambda: {"z": None, "a": True}], "a": "text", "c": lambda: []}
+        assert serialize.dumps_canonical(deferred) == serialize.dumps_canonical(self.OBJ)
+        with pytest.raises(TypeError, match="Object of type complex is not JSON serializable"):
+            serialize.dumps_canonical([1j])
+
+    def test_save_replaces_whole_files_only(self, tmp_path):
+        path = tmp_path / "obj.json"
+        serialize.save_json(path, [1])
+        serialize.save_json(path, self.OBJ)
+        assert path.read_text(encoding="utf-8") == serialize.dumps_canonical(self.OBJ)
+        with pytest.raises(TypeError):
+            serialize.save_json(path, [1, object()])
+        assert path.read_text(encoding="utf-8") == serialize.dumps_canonical(self.OBJ)
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_errors_name_the_destination(self, tmp_path):
+        missing = tmp_path / "missing" / "obj.json"
+        with pytest.raises(FileNotFoundError) as exc:
+            serialize.save_json(missing, [1])
+        assert exc.value.filename == str(missing)
+        with pytest.raises(IsADirectoryError) as exc:
+            serialize.save_json(tmp_path, [1])
+        assert exc.value.filename == str(tmp_path)
+        assert list(tmp_path.iterdir()) == []
