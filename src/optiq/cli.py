@@ -90,9 +90,10 @@ def _log(message: str) -> None:
 
 
 def _cluster_builder(result, hits: int, include_trace: bool):
-    """A zero-argument builder of one cluster's report entry. What can raise
-    (the bound and the mesh) runs now; the matrices as lists and the trace
-    as dicts are built only when called, for the writer to drop once written."""
+    """One cluster's fidelity bound, and a zero-argument builder of its report
+    entry. What can raise (the bound and the mesh) runs now; the matrices as
+    lists and the trace as dicts are built only when called, for the writer
+    to drop once written."""
     bound = fidelity_bound(result.trace[-1].normal_norm)
     plan = decompose(result.scattering)
 
@@ -113,12 +114,13 @@ def _cluster_builder(result, hits: int, include_trace: bool):
                  "tangent_norm": r.tangent_norm, "normal_norm": r.normal_norm}
                 for r in result.trace]
         return entry
-    return build
+    return bound, build
 
 
 def _run_multi_start(config: RunConfig, target: np.ndarray, include_trace: bool):
-    """The engine's clusters, and the report whose clusters are builders
-    (see :func:`_cluster_builder`) that the writer calls one at a time."""
+    """The engine's clusters, their fidelity bounds, and the report whose
+    clusters are builders (see :func:`_cluster_builder`) that the writer
+    calls one at a time."""
     basis = config.basis()
     if target.shape[0] != len(basis):
         raise ShapeError(
@@ -129,14 +131,15 @@ def _run_multi_start(config: RunConfig, target: np.ndarray, include_trace: bool)
     clusters = multi_start(target, image_basis, config.starts,
                            tol=config.tol, max_iter=config.max_iter,
                            rng_seed=config.rng_seed, cluster_tol=config.cluster_tol)
+    bounds, builders = zip(*(_cluster_builder(result, hits, include_trace)
+                             for result, hits in clusters))
     report = {
         "format_version": REPORT_VERSION,
         "config": config.to_obj(),
         "target": serialize.matrix_to_obj(target),
-        "clusters": [_cluster_builder(result, hits, include_trace)
-                     for result, hits in clusters],
+        "clusters": list(builders),
     }
-    return clusters, report
+    return clusters, bounds, report
 
 
 def cmd_approximate(args) -> int:
@@ -145,11 +148,11 @@ def cmd_approximate(args) -> int:
                        tol=args.tol, max_iter=args.max_iter, starts=args.starts,
                        rng_seed=args.seed, cluster_tol=args.cluster_tol)
     target = serialize.load_matrix(args.target)
-    clusters, report = _run_multi_start(config, target, args.trace)
+    clusters, bounds, report = _run_multi_start(config, target, args.trace)
     _write_output(args.output, report)
     best = clusters[0][0]
     _log(f"{len(clusters)} cluster(s); best distance {best.final_distance:.9f} "
-         f"(fidelity bound {fidelity_bound(best.trace[-1].normal_norm):.6f})")
+         f"(fidelity bound {bounds[0]:.6f})")
     if not best.converged:
         _log(f"warning: the best cluster did not converge within "
              f"max_iter={config.max_iter} iterations")
@@ -216,7 +219,7 @@ def cmd_replay(args) -> int:
         raise OptiqError(f"malformed report: {exc!r}") from None
     config = RunConfig.from_obj(config_obj)
     target = serialize.matrix_from_obj(target_obj)
-    _, fresh = _run_multi_start(config, target, include_trace=False)
+    _, _, fresh = _run_multi_start(config, target, include_trace=False)
     found = _mismatches(old, [_cluster_fields(build()) for build in fresh["clusters"]],
                         config.basis())
     for line in found:

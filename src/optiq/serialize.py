@@ -11,9 +11,10 @@ keys, two-space indent), so identical data produces identical bytes.
 They stream it: :func:`dump_canonical` writes to a file the very bytes
 :func:`dumps_canonical` returns, without holding them, and a zero-argument
 callable in the data stands for the tree it returns, built only when the
-writer reaches it. :func:`save_json` writes a sibling temporary file and
-renames it over the destination, so a failed write leaves an earlier file
-untouched.
+writer reaches it. :func:`save_json` replaces a regular file whole: it
+writes and syncs a sibling temporary file and renames it over the
+destination, so a write that fails leaves an earlier file untouched. Other
+destinations, such as /dev/null or a FIFO, are written in place.
 Both matrix readers reject NaN and infinite entries; the JSON reader also
 rejects entries that are not numbers, booleans included.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -54,26 +56,65 @@ def dumps_canonical(obj) -> str:
     return "".join(_CANONICAL.iterencode(obj)) + "\n"
 
 
-def save_json(path, obj) -> None:
-    """Write obj canonically to a sibling temporary file, then rename it over
-    path; on any error remove the temporary file and leave path as it was.
-    Errors opening or renaming name path, as a plain open would."""
-    path = Path(path)
-    # mode "x": a plain open's permissions, not mkstemp's 0600, on a new file
+def _open_replacement(path: Path):
+    """A new temporary file beside path, to be renamed over it, with the
+    permission bits of the file it replaces, as (name, file). None where path
+    must be written in place: anything but a free name or a writable regular
+    file with one link that this process owns (/dev/null, a FIFO, a symlink,
+    a directory, "."), or a directory where no sibling file can be made."""
+    if not path.name:
+        return None
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    except OSError:
+        return None
+    if st is not None and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+                               and st.st_uid == os.geteuid()
+                               and os.access(path, os.W_OK)):
+        return None
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     try:
+        # mode "x": a plain open's permissions, not mkstemp's 0600, on a new file
         f = open(tmp, "x", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    except OSError:
+        return None
+    if st is not None:
+        try:
+            os.fchmod(f.fileno(), stat.S_IMODE(st.st_mode))
+        except BaseException:
+            f.close()
+            os.unlink(tmp)
+            raise
+    return tmp, f
+
+
+def save_json(path, obj) -> None:
+    """Write obj canonically to path.
+
+    A free name or a regular file is replaced whole: obj goes to a sibling
+    temporary file (see :func:`_open_replacement`), which is synced before it
+    is renamed over path; on any error the temporary file is removed and path
+    keeps its bytes. Any other path is opened and written in place, errors
+    included. Like any pathlib path, path drops a trailing separator."""
+    path = Path(path)
+    if (replacement := _open_replacement(path)) is None:
+        with open(path, "w", encoding="utf-8") as f:
+            dump_canonical(obj, f)
+        return
+    tmp, f = replacement
     try:
         with f:
             dump_canonical(obj, f)
+            f.flush()
+            os.fsync(f.fileno())
         try:
             os.replace(tmp, path)
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, str(path)) from None
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        os.unlink(tmp)
         raise
 
 

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -172,14 +174,28 @@ class TestApproximateCommand:
         assert run(args + ["-o", str(out)]) == 0
         config = cli.RunConfig(m=2, n=2, ordering=[list(s) for s in golden.ORDER_22],
                                max_iter=400, starts=6, rng_seed=3)
-        clusters, report = cli._run_multi_start(config, serialize.load_matrix(qft3_file),
-                                                trace)
+        clusters, bounds, report = cli._run_multi_start(
+            config, serialize.load_matrix(qft3_file), trace)
         assert len(clusters) > 1
         eager = {**report, "clusters": [build() for build in report["clusters"]]}
+        assert [c["fidelity_bound"] for c in eager["clusters"]] == list(bounds)
         assert out.read_text(encoding="utf-8") == serialize.dumps_canonical(eager)
         capsys.readouterr()
         assert run(args + ["-o", "-"]) == 0
         assert capsys.readouterr().out == serialize.dumps_canonical(eager)
+
+    def test_reports_to_devices_and_directories(self, tmp_path, capsys, qft3_file,
+                                                order_file):
+        args = ["approximate", qft3_file, "-m", "2", "-n", "2", "--ordering", order_file,
+                "--starts", "3", "-o"]
+        assert run(args + [os.devnull]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(args + [str(out) + os.sep]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(out)!r}\n"
+        assert list(out.iterdir()) == []
 
     def test_failed_write_keeps_earlier_report(self, tmp_path, qft3_file, order_file,
                                                monkeypatch):

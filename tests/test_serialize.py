@@ -1,4 +1,8 @@
 import json
+import os
+import stat
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,3 +124,61 @@ class TestCanonicalWriter:
             serialize.save_json(tmp_path, [1])
         assert exc.value.filename == str(tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_other_destinations_fail_as_a_plain_write_does(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir").mkdir()
+        for dest in ["dir", "dir/", ".", "", "missing/obj.json"]:
+            with pytest.raises(OSError) as plain:
+                Path(dest).write_text("[1]\n", encoding="utf-8")
+            with pytest.raises(OSError) as ours:
+                serialize.save_json(dest, [1])
+            assert (type(ours.value), str(ours.value)) == (type(plain.value), str(plain.value))
+        assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+        assert list((tmp_path / "dir").iterdir()) == []
+
+    def test_trailing_separator_names_the_file(self, tmp_path):
+        # as pathlib reads it, and as a plain Path(...).write_text wrote it
+        serialize.save_json(str(tmp_path / "out") + os.sep, [1])
+        assert (tmp_path / "out").read_text(encoding="utf-8") == "[\n  1\n]\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_devices_fifos_and_symlinks_are_written_in_place(self, tmp_path):
+        serialize.save_json(os.devnull, self.OBJ)
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        fifo, received = tmp_path / "fifo", []
+        os.mkfifo(fifo)
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text(encoding="utf-8")))
+        reader.start()
+        serialize.save_json(fifo, self.OBJ)
+        reader.join()
+        assert received == [serialize.dumps_canonical(self.OBJ)]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        link.symlink_to(target.name)
+        serialize.save_json(link, self.OBJ)
+        assert link.is_symlink()
+        assert target.read_text(encoding="utf-8") == serialize.dumps_canonical(self.OBJ)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "link.json", "target.json"]
+
+    def test_replacement_keeps_permission_bits(self, tmp_path):
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        with open(tmp_path / "plain.json", "w"):
+            pass
+        serialize.save_json(new, [1])
+        assert new.stat().st_mode == (tmp_path / "plain.json").stat().st_mode
+        old.write_bytes(b"earlier\n")
+        old.chmod(0o640)
+        serialize.save_json(old, [1])
+        assert stat.S_IMODE(old.stat().st_mode) == 0o640
+        assert old.read_text(encoding="utf-8") == serialize.dumps_canonical([1])
+
+    def test_no_sibling_file_falls_back_to_writing_in_place(self, tmp_path, monkeypatch):
+        path = tmp_path / "obj.json"
+        path.write_bytes(b"earlier\n")
+        taken = tmp_path / f".obj.json.{bytes(4).hex()}.tmp"
+        taken.write_bytes(b"")
+        monkeypatch.setattr(serialize.os, "urandom", bytes)
+        serialize.save_json(path, self.OBJ)
+        assert path.read_text(encoding="utf-8") == serialize.dumps_canonical(self.OBJ)
+        assert taken.read_bytes() == b""
