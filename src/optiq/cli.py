@@ -5,11 +5,12 @@ Subcommands:
     lift          evolution matrix of a scattering-matrix file
     sample        Haar-random scattering matrix
     decompose     beam-splitter mesh of a scattering-matrix file
-    replay        re-execute a report's configuration and verify its clusters
+    replay        run a report's search again and compare its clusters directly
 
 Exit codes: 0 success, 2 shape error, 3 unitarity error, 4 numerical
 instability, 1 anything else. Every command is deterministic given its
 flags; reports embed the full configuration so they can be replayed.
+Replay builds no meshes or report entries for the clusters it recomputes.
 """
 
 from __future__ import annotations
@@ -90,10 +91,10 @@ def _log(message: str) -> None:
 
 
 def _cluster_builder(result, hits: int, include_trace: bool):
-    """One cluster's fidelity bound, and a zero-argument builder of its report
-    entry. What can raise (the bound and the mesh) runs now; the matrices as
-    lists and the trace as dicts are built only when called, for the writer
-    to drop once written."""
+    """A zero-argument builder of one cluster's report entry. What can raise
+    (the fidelity bound and the mesh) runs now; the matrices as lists and
+    the trace as dicts are built only when called, for the writer to drop
+    once written."""
     bound = fidelity_bound(result.trace[-1].normal_norm)
     plan = decompose(result.scattering)
 
@@ -114,32 +115,21 @@ def _cluster_builder(result, hits: int, include_trace: bool):
                  "tangent_norm": r.tangent_norm, "normal_norm": r.normal_norm}
                 for r in result.trace]
         return entry
-    return bound, build
+    return build
 
 
-def _run_multi_start(config: RunConfig, target: np.ndarray, include_trace: bool):
-    """The engine's clusters, their fidelity bounds, and the report whose
-    clusters are builders (see :func:`_cluster_builder`) that the writer
-    calls one at a time."""
+def _search(config: RunConfig, target: np.ndarray):
+    """The basis and the engine's (representative, hit count) clusters for a
+    target that must be a unitary of the basis's dimension."""
     basis = config.basis()
     if target.shape[0] != len(basis):
         raise ShapeError(
             f"target dimension {target.shape[0]} does not match "
             f"dimension(m={config.m}, n={config.n}) = {len(basis)}")
     require_unitary(target, "target")
-    image_basis = build_image_basis(basis)
-    clusters = multi_start(target, image_basis, config.starts,
-                           tol=config.tol, max_iter=config.max_iter,
-                           rng_seed=config.rng_seed, cluster_tol=config.cluster_tol)
-    bounds, builders = zip(*(_cluster_builder(result, hits, include_trace)
-                             for result, hits in clusters))
-    report = {
-        "format_version": REPORT_VERSION,
-        "config": config.to_obj(),
-        "target": serialize.matrix_to_obj(target),
-        "clusters": list(builders),
-    }
-    return clusters, bounds, report
+    return basis, multi_start(target, build_image_basis(basis), config.starts,
+                              tol=config.tol, max_iter=config.max_iter,
+                              rng_seed=config.rng_seed, cluster_tol=config.cluster_tol)
 
 
 def cmd_approximate(args) -> int:
@@ -148,11 +138,16 @@ def cmd_approximate(args) -> int:
                        tol=args.tol, max_iter=args.max_iter, starts=args.starts,
                        rng_seed=args.seed, cluster_tol=args.cluster_tol)
     target = serialize.load_matrix(args.target)
-    clusters, bounds, report = _run_multi_start(config, target, args.trace)
-    _write_output(args.output, report)
+    _, clusters = _search(config, target)
+    _write_output(args.output, {
+        "format_version": REPORT_VERSION,
+        "config": config.to_obj(),
+        "target": serialize.matrix_to_obj(target),
+        "clusters": [_cluster_builder(result, hits, args.trace) for result, hits in clusters],
+    })
     best = clusters[0][0]
     _log(f"{len(clusters)} cluster(s); best distance {best.final_distance:.9f} "
-         f"(fidelity bound {bounds[0]:.6f})")
+         f"(fidelity bound {fidelity_bound(best.trace[-1].normal_norm):.6f})")
     if not best.converged:
         _log(f"warning: the best cluster did not converge within "
              f"max_iter={config.max_iter} iterations")
@@ -171,7 +166,9 @@ REPLAY_TOL = 1e-9
 
 def _cluster_fields(cluster: dict) -> dict:
     fields = {key: cluster[key] for key in EXACT_FIELDS}
-    fields["final_distance"] = float(cluster["final_distance"])
+    d = fields["final_distance"] = cluster["final_distance"]
+    if type(d) not in (int, float) or not np.isfinite(d):  # not bool, str or NaN
+        raise ValueError(f"final_distance must be a finite number, got {d!r}")
     for key in ("scattering_matrix", "evolution_matrix"):
         fields[key] = serialize.matrix_from_obj(cluster[key])
     return fields
@@ -219,9 +216,10 @@ def cmd_replay(args) -> int:
         raise OptiqError(f"malformed report: {exc!r}") from None
     config = RunConfig.from_obj(config_obj)
     target = serialize.matrix_from_obj(target_obj)
-    _, _, fresh = _run_multi_start(config, target, include_trace=False)
-    found = _mismatches(old, [_cluster_fields(build()) for build in fresh["clusters"]],
-                        config.basis())
+    basis, clusters = _search(config, target)
+    new = [{"hit_count": hits, "converged": r.converged, "final_distance": r.final_distance,
+            "evolution_matrix": r.evolution} for r, hits in clusters]
+    found = _mismatches(old, new, basis)
     for line in found:
         _log(f"replay mismatch: {line}")
     if found:

@@ -57,11 +57,12 @@ def dumps_canonical(obj) -> str:
 
 
 def _open_replacement(path: Path):
-    """A new temporary file beside path, to be renamed over it, with the
-    permission bits of the file it replaces, as (name, file). None where path
-    must be written in place: anything but a free name or a writable regular
-    file with one link that this process owns (/dev/null, a FIFO, a symlink,
-    a directory, "."), or a directory where no sibling file can be made."""
+    """A new temporary file beside path, to be renamed over it, as (name,
+    file, mode): mode is the permission bits of the file it replaces, None
+    for a free name. None where path must be written in place: anything but
+    a free name or a writable regular file with one link that this process
+    owns (/dev/null, a FIFO, a symlink, a directory, "."), or a directory
+    where no sibling file can be made."""
     if not path.name:
         return None
     try:
@@ -80,14 +81,7 @@ def _open_replacement(path: Path):
         f = open(tmp, "x", encoding="utf-8")
     except OSError:
         return None
-    if st is not None:
-        try:
-            os.fchmod(f.fileno(), stat.S_IMODE(st.st_mode))
-        except BaseException:
-            f.close()
-            os.unlink(tmp)
-            raise
-    return tmp, f
+    return tmp, f, None if st is None else stat.S_IMODE(st.st_mode)
 
 
 def save_json(path, obj) -> None:
@@ -97,15 +91,20 @@ def save_json(path, obj) -> None:
     temporary file (see :func:`_open_replacement`), which is synced before it
     is renamed over path; on any error the temporary file is removed and path
     keeps its bytes. Any other path is opened and written in place, errors
-    included. Like any pathlib path, path drops a trailing separator."""
-    path = Path(path)
-    if (replacement := _open_replacement(path)) is None:
-        with open(path, "w", encoding="utf-8") as f:
+    included. pathlib drops a trailing separator, so a path that ends in
+    one and names no directory is opened as given: it fails as a plain open
+    does."""
+    as_given = (name := os.fspath(path)).endswith(os.sep) and not os.path.isdir(name)
+    path = Path(name)
+    if as_given or (replacement := _open_replacement(path)) is None:
+        with open(name if as_given else path, "w", encoding="utf-8") as f:
             dump_canonical(obj, f)
         return
-    tmp, f = replacement
+    tmp, f, mode = replacement
     try:
         with f:
+            if mode is not None:
+                os.fchmod(f.fileno(), mode)
             dump_canonical(obj, f)
             f.flush()
             os.fsync(f.fileno())

@@ -253,6 +253,11 @@ class TestApproximate:
         with pytest.raises(TypeError):
             approximate(golden.QFT3, np.eye(2), image22, max_iter=2.5)
 
+    def test_stacked_target_rejected(self, image22):
+        # a stack of targets is not a target, even when each is unitary
+        with pytest.raises(ShapeError, match=r"got shape \(2, 3, 3\)"):
+            approximate(np.stack([np.eye(3)] * 2), np.eye(2), image22)
+
 
 class TestHaarRandom:
     def test_unitary(self):

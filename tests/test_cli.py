@@ -8,7 +8,7 @@ import pytest
 
 import golden
 from optiq import cli, serialize
-from optiq.approx import approximate, haar_random, multi_start
+from optiq.approx import approximate, fidelity_bound, haar_random, multi_start
 from optiq.circuit import CircuitPlan, OpticalElement, decompose
 from optiq.cli import main
 from optiq.errors import InternalConsistencyError, NumericalInstabilityError, OptiqError
@@ -174,10 +174,15 @@ class TestApproximateCommand:
         assert run(args + ["-o", str(out)]) == 0
         config = cli.RunConfig(m=2, n=2, ordering=[list(s) for s in golden.ORDER_22],
                                max_iter=400, starts=6, rng_seed=3)
-        clusters, bounds, report = cli._run_multi_start(
-            config, serialize.load_matrix(qft3_file), trace)
+        target = serialize.load_matrix(qft3_file)
+        clusters = multi_start(target, build_image_basis(config.basis()), config.starts,
+                               max_iter=config.max_iter, rng_seed=config.rng_seed)
+        bounds = [fidelity_bound(result.trace[-1].normal_norm) for result, _ in clusters]
         assert len(clusters) > 1
-        eager = {**report, "clusters": [build() for build in report["clusters"]]}
+        eager = {"format_version": cli.REPORT_VERSION, "config": config.to_obj(),
+                 "target": serialize.matrix_to_obj(target),
+                 "clusters": [cli._cluster_builder(result, hits, trace)()
+                              for result, hits in clusters]}
         assert [c["fidelity_bound"] for c in eager["clusters"]] == list(bounds)
         assert out.read_text(encoding="utf-8") == serialize.dumps_canonical(eager)
         capsys.readouterr()
@@ -290,6 +295,48 @@ class TestApproximateCommand:
         out.write_text(json.dumps(report))
         assert run(["replay", str(out)]) == 0
 
+    @pytest.mark.parametrize("index,value", [(0, float("nan")), (-1, float("nan")),
+                                             (-1, "0.5"), (0, True)],
+                             ids=["first-nan", "last-nan", "last-str", "first-bool"])
+    def test_replay_rejects_malformed_distance(self, tmp_path, capsys, qft3_file,
+                                              index, value):
+        out = tmp_path / "report.json"
+        assert run(["approximate", qft3_file, "-m", "2", "-n", "2", "--starts", "4",
+                    "--max-iter", "400", "-o", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert len(report["clusters"]) == 3
+        report["clusters"][index]["final_distance"] = value
+        out.write_text(json.dumps(report))  # NaN as the JSON literal NaN
+        capsys.readouterr()
+        assert run(["replay", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed report: ") and err.count("\n") == 1
+
+    def test_replay_builds_no_report_entries(self, tmp_path, capsys, qft3_file, order_file,
+                                             monkeypatch):
+        # replay compares the engine's clusters as they are: no mesh, bound
+        # or report encoding, and it decodes only the recorded matrices
+        out = tmp_path / "report.json"
+        assert run(["approximate", qft3_file, "-m", "2", "-n", "2", "--ordering", order_file,
+                    "--starts", "6", "--seed", "3", "--max-iter", "400",
+                    "-o", str(out)]) == 0
+        recorded = len(json.loads(out.read_text())["clusters"])
+
+        def forbidden(*args):
+            raise AssertionError("replay built a report entry")
+
+        for module, name in [(cli, "decompose"), (cli, "fidelity_bound"),
+                             (serialize, "matrix_to_obj"), (serialize, "plan_to_obj")]:
+            monkeypatch.setattr(module, name, forbidden)
+        from_obj, decoded = serialize.matrix_from_obj, []
+        monkeypatch.setattr(serialize, "matrix_from_obj",
+                            lambda obj: decoded.append(1) or from_obj(obj))
+        capsys.readouterr()
+        assert run(["replay", str(out)]) == 0
+        assert capsys.readouterr().err == \
+            f"replay verified: {recorded} cluster(s) match within 1e-09\n"
+        assert len(decoded) == 1 + 2 * recorded  # the target and each recorded pair
+
     def test_replay_pairs_clusters_whose_distances_tie(self):
         # tied clusters may come back in the other order; each recorded
         # cluster is compared with the recomputed one nearest to it
@@ -374,6 +421,16 @@ class TestLiftCommand:
         out = tmp_path / "u.json"
         assert run(["lift", str(src), "-m", "2", "-n", "2", "-o", str(out)]) == 1
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_square_entries_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "s.json"
+        src.write_text(json.dumps({"entries": [[[1, 0], [0, 0], [0, 0]],
+                                               [[0, 0], [1, 0], [0, 0]]]}))
+        out = tmp_path / "u.json"
+        assert run(["lift", str(src), "-m", "2", "-n", "2", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: matrix entries must be square, got shape (2, 3)\n"
         assert not out.exists()
 
     def test_random_output_is_unitary(self, tmp_path):

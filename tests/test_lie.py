@@ -251,6 +251,10 @@ class TestMatrixExp:
         got = matrix_exp(1j * np.diag([np.pi / 2, -np.pi / 2]))
         assert np.allclose(got, np.diag([1j, -1j]), atol=1e-15)
 
+    def test_rejects_a_vector(self):
+        with pytest.raises(ShapeError, match=r"got shape \(3,\)"):
+            matrix_exp(np.ones(3))
+
     def test_result_unitary(self):
         rng = np.random.default_rng(6)
         v = random_anti_hermitian(rng, 5)
@@ -269,6 +273,11 @@ class TestMatrixExp:
 def drifted_unitaries(rng, M, count):
     return np.array([haar(rng, M) + 1e-8 * rng.standard_normal((M, M))
                      for _ in range(count)])
+
+
+def test_polar_unitary_rejects_non_square():
+    with pytest.raises(ShapeError, match=r"got shape \(2, 3\)"):
+        polar_unitary(np.ones((2, 3)))
 
 
 def test_polar_unitary_projects():

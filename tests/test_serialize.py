@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import stat
@@ -10,6 +11,7 @@ import pytest
 from conftest import haar
 from optiq import serialize
 from optiq.circuit import decompose, reconstruct
+from optiq.cli import main
 from optiq.errors import OptiqError, ShapeError
 from optiq.lie import distance
 from test_cli import plan_from_obj
@@ -67,6 +69,10 @@ class TestTextFormat:
     def test_bad_literal(self):
         with pytest.raises(OptiqError):
             serialize.parse_text_matrix("1 apple\n2 3\n")
+
+    def test_blank_lines_skipped(self):
+        got = serialize.parse_text_matrix("\n1 0\n   \n0 1i\n\n")
+        assert np.array_equal(got, np.array([[1, 0], [0, 1j]]))
 
     def test_ragged_rejected(self):
         with pytest.raises(ShapeError):
@@ -137,11 +143,25 @@ class TestCanonicalWriter:
         assert [p.name for p in tmp_path.iterdir()] == ["dir"]
         assert list((tmp_path / "dir").iterdir()) == []
 
-    def test_trailing_separator_names_the_file(self, tmp_path):
-        # as pathlib reads it, and as a plain Path(...).write_text wrote it
-        serialize.save_json(str(tmp_path / "out") + os.sep, [1])
-        assert (tmp_path / "out").read_text(encoding="utf-8") == "[\n  1\n]\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    def test_trailing_separator_fails_as_a_plain_open_does(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # pathlib drops the separator; a plain open refuses the name unless it
+        # is a directory, whether it is free or names a regular file
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f").write_bytes(b"earlier\n")
+        for dest in ["out/", "f/", "missing/x/", "f/x/"]:
+            with pytest.raises(OSError) as plain:
+                open(dest, "w", encoding="utf-8")
+            with pytest.raises(OSError) as ours:
+                serialize.save_json(dest, [1])
+            assert (type(ours.value), str(ours.value)) == (type(plain.value), str(plain.value))
+            assert main(["sample", "-m", "2", "-o", dest]) == 1
+            assert capsys.readouterr().err == f"error: {plain.value}\n"
+        assert str(plain.value) == "[Errno 20] Not a directory: 'f/x/'"
+        with pytest.raises(IsADirectoryError, match=r"\[Errno 21\] Is a directory: 'out/'"):
+            serialize.save_json("out/", [1])
+        assert [p.name for p in tmp_path.iterdir()] == ["f"]
+        assert (tmp_path / "f").read_bytes() == b"earlier\n"
 
     def test_devices_fifos_and_symlinks_are_written_in_place(self, tmp_path):
         serialize.save_json(os.devnull, self.OBJ)
@@ -172,6 +192,19 @@ class TestCanonicalWriter:
         serialize.save_json(old, [1])
         assert stat.S_IMODE(old.stat().st_mode) == 0o640
         assert old.read_text(encoding="utf-8") == serialize.dumps_canonical([1])
+
+    def test_failed_chmod_keeps_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "obj.json"
+        path.write_bytes(b"earlier\n")
+
+        def failing(fd, mode):
+            raise PermissionError(errno.EPERM, os.strerror(errno.EPERM))
+
+        monkeypatch.setattr(serialize.os, "fchmod", failing)
+        with pytest.raises(PermissionError):
+            serialize.save_json(path, self.OBJ)
+        assert path.read_bytes() == b"earlier\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_no_sibling_file_falls_back_to_writing_in_place(self, tmp_path, monkeypatch):
         path = tmp_path / "obj.json"
