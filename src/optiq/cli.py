@@ -210,6 +210,8 @@ def _mismatches(old: list[dict], new: list[dict], basis: FockBasis) -> list[str]
 def cmd_replay(args) -> int:
     report = serialize.load_json(args.report)
     try:
+        if type(version := report["format_version"]) is not int or version != REPORT_VERSION:
+            raise ValueError(f"format_version must be {REPORT_VERSION}, got {version!r}")
         config_obj, target_obj = report["config"], report["target"]
         old = [_cluster_fields(c) for c in report["clusters"]]
     except (KeyError, TypeError, ValueError) as exc:

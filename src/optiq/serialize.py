@@ -6,15 +6,17 @@ Circuit plans:     {"format_version", "m", "elements": [{"kind", "modes",
 
 A plain-text matrix reader is also accepted for convenience: one row per
 line, whitespace-separated complex literals such as ``0.5``, ``-2i`` or
-``0.3-0.7i`` (``j`` works too). All writers emit canonical JSON (sorted
-keys, two-space indent), so identical data produces identical bytes.
-They stream it: :func:`dump_canonical` writes to a file the very bytes
-:func:`dumps_canonical` returns, without holding them, and a zero-argument
-callable in the data stands for the tree it returns, built only when the
-writer reaches it. :func:`save_json` replaces a regular file whole: it
-writes and syncs a sibling temporary file and renames it over the
-destination, so a write that fails leaves an earlier file untouched. Other
-destinations, such as /dev/null or a FIFO, are written in place.
+``0.3-0.7i`` (``j`` works too). All writers emit canonical JSON: byte for
+byte ``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, which the
+tests take as the oracle, except that a cycle raises RecursionError, not
+ValueError (no caller builds one). A zero-argument callable in the data
+stands for the tree it returns, built when the writer reaches it;
+:func:`dump_canonical` writes each such tree, with the text before it, in
+one piece, the bytes :func:`dumps_canonical` returns. :func:`save_json`
+replaces a regular file whole: it writes and syncs a sibling temporary file
+and renames it over the destination, so a write that fails leaves an
+earlier file untouched. Other destinations, such as /dev/null or a FIFO,
+are written in place.
 Both matrix readers reject NaN and infinite entries; the JSON reader also
 rejects entries that are not numbers, booleans included.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import stat
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
 import numpy as np
@@ -34,26 +37,91 @@ from .errors import OptiqError, ShapeError
 FORMAT_VERSION = 1
 
 
-def _build_deferred(o):
-    """json's hook for objects it cannot encode: a zero-argument builder
-    stands for the tree it returns."""
-    if callable(o):
-        return o()
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+_LITERALS = {None: "null", True: "true", False: "false",
+             "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-_CANONICAL = json.JSONEncoder(indent=2, sort_keys=True, default=_build_deferred)
+def _scalar(x):
+    """The JSON text of a string, number, bool or None; None for anything else."""
+    if isinstance(x, str):
+        return _string(x)
+    if x is None or x is True or x is False:
+        return _LITERALS[x]
+    if isinstance(x, (int, float)):
+        text = int.__repr__(x) if isinstance(x, int) else float.__repr__(x)
+        return _LITERALS.get(text, text)
+    return None
+
+
+def _texts(values):
+    """The JSON texts of values if they are all scalars, else None."""
+    exact = {*map(type, values)} <= {int, float}
+    if exact and "n" not in "".join(texts := list(map(repr, values))):
+        return texts  # the repr of an int or a finite float holds no n
+    return None if None in (texts := list(map(_scalar, values))) else texts
+
+
+def _key(k) -> str:
+    if (text := k if isinstance(k, str) else _scalar(k)) is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+    return _string(text) + ": "
+
+
+def _items(items, nl: str):
+    """The items of a non-empty list, joined at the indent that the newline nl
+    opens: one join of scalars, or one % template repeated for equal-length
+    lists or same-keyed dicts of scalars; None for anything else."""
+    if (texts := _texts(items)) is not None:
+        return ("," + nl).join(texts)
+    first, inner, fields = items[0], nl + "  ", None
+    if isinstance(first, dict) and all(
+            isinstance(x, dict) and x.keys() == first.keys() for x in items):
+        keys, brackets = sorted(first), "{}"
+        fields, values = [_key(k) for k in keys], [x[k] for x in items for k in keys]
+    elif isinstance(first, (list, tuple)) and all(
+            isinstance(x, (list, tuple)) and len(x) == len(first) for x in items):
+        brackets, fields, values = "[]", [""] * len(first), [v for x in items for v in x]
+    if fields and (texts := _texts(values)) is not None:
+        fields = [f.replace("%", "%%") + "%s" for f in fields]
+        item = brackets[0] + inner + ("," + inner).join(fields) + nl + brackets[1]
+        return ("," + nl).join([item] * len(items)) % tuple(texts)
+    return None
+
+
+def _encode(o, nl: str, out: list, f=None) -> None:
+    """Append the canonical text of o, at the indent that the newline nl
+    opens, to out. A zero-argument callable stands for the tree it returns,
+    encoded whole; after each such tree, out is written to f, if given."""
+    inner, is_dict = nl + "  ", isinstance(o, dict)
+    if (text := _scalar(o)) is not None:
+        out.append(text)
+    elif isinstance(o, (list, tuple)) and o and (body := _items(o, inner)) is not None:
+        out.append("[" + inner + body + nl + "]")
+    elif is_dict or isinstance(o, (list, tuple)):
+        brackets = "{}" if is_dict else "[]"
+        for i, (k, x) in enumerate(sorted(o.items()) if is_dict else enumerate(o)):
+            out.append(("," if i else brackets[0]) + inner + (_key(k) if is_dict else ""))
+            _encode(x, inner, out, f)
+        out.append(nl + brackets[1] if o else brackets)
+    elif callable(o):
+        _encode(o(), nl, out)
+        if f is not None:
+            f.write("".join(out))
+            out.clear()
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def dump_canonical(obj, f) -> None:
-    """Write the canonical encoding of obj to the text file f, chunk by chunk."""
-    for chunk in _CANONICAL.iterencode(obj):
-        f.write(chunk)
-    f.write("\n")
+    """Write the canonical encoding of obj to the text file f: one write per
+    builder's tree, holding the text before it, and one for the rest."""
+    _encode(obj, "\n", out := [], f)
+    f.write("".join(out) + "\n")
 
 
 def dumps_canonical(obj) -> str:
-    return "".join(_CANONICAL.iterencode(obj)) + "\n"
+    _encode(obj, "\n", out := [])
+    return "".join(out) + "\n"
 
 
 def _open_replacement(path: Path):
@@ -127,10 +195,7 @@ def matrix_to_obj(A) -> dict:
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeError(f"only square matrices serialize, got shape {A.shape}")
-    return {
-        "dim": A.shape[0],
-        "entries": [[[float(z.real), float(z.imag)] for z in row] for row in A],
-    }
+    return {"dim": A.shape[0], "entries": np.stack([A.real, A.imag], -1).tolist()}
 
 
 def _require_finite(A: np.ndarray) -> np.ndarray:

@@ -164,6 +164,35 @@ class TestApproximateCommand:
             tracemalloc.stop()
         assert peak <= engine + 1e6, (peak, engine)
 
+    def test_report_is_written_in_one_piece_per_cluster(self, tmp_path, monkeypatch):
+        # one write for the header with the first cluster, one for each
+        # further cluster with its separator, one for the tail: never one
+        # per token, and never more than one cluster's text at a time
+        target, out = tmp_path / "target.json", tmp_path / "report.json"
+        serialize.save_matrix(target, haar_random(10, 3))
+        dump, writes = serialize.dump_canonical, []
+
+        class Recorder:
+            def __init__(self, f):
+                self.f = f
+
+            def write(self, text):
+                writes.append(len(text))
+                return self.f.write(text)
+
+        monkeypatch.setattr(serialize, "dump_canonical", lambda obj, f: dump(obj, Recorder(f)))
+        assert run(["approximate", str(target), "-m", "3", "-n", "3", "--starts", "6",
+                    "--trace", "-o", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        clusters = json.loads(text)["clusters"]
+        header = text.index("{", text.index('"clusters": ['))
+        longest = max(len(serialize.dumps_canonical(c).replace("\n", "\n    ")) - 5
+                      for c in clusters)
+        assert len(clusters) >= 5 and all("trace" in c for c in clusters)
+        assert sum(writes) == len(text)
+        assert len(writes) <= len(clusters) + 2
+        assert max(writes) <= header + longest
+
     @pytest.mark.parametrize("trace", [False, True], ids=["plain", "trace"])
     def test_streamed_report_matches_eager_encoding(self, tmp_path, capsys, qft3_file,
                                                     order_file, trace):
@@ -311,6 +340,23 @@ class TestApproximateCommand:
         assert run(["replay", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: malformed report: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("version", [2, "1", True, None], ids=["2", "str", "bool", "missing"])
+    def test_replay_rejects_other_format_versions(self, tmp_path, capsys, qft3_file, version):
+        out = tmp_path / "report.json"
+        assert run(["approximate", qft3_file, "-m", "2", "-n", "2", "--starts", "2",
+                    "--max-iter", "400", "-o", str(out)]) == 0
+        report = json.loads(out.read_text())
+        if version is None:
+            del report["format_version"]
+        else:
+            report["format_version"] = version
+        out.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(["replay", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed report: ") and err.count("\n") == 1
+        assert "format_version" in err
 
     def test_replay_builds_no_report_entries(self, tmp_path, capsys, qft3_file, order_file,
                                              monkeypatch):

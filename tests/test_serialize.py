@@ -25,6 +25,14 @@ class TestMatrixFormat:
         again = serialize.matrix_from_obj(json.loads(json.dumps(obj)))
         assert np.array_equal(again, A)  # repr round-trip keeps every bit
 
+    def test_entries_are_the_per_entry_floats(self):
+        A = haar(np.random.default_rng(52), 4)
+        A[0, 0], A[1, 2] = complex(-0.0, 0.5), complex(0.25, -0.0)
+        entries = serialize.matrix_to_obj(A)["entries"]
+        loop = [[[float(z.real), float(z.imag)] for z in row] for row in A]
+        assert repr(entries) == repr(loop)  # -0.0 included
+        assert {type(x) for row in entries for pair in row for x in pair} == {float}
+
     def test_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(51)
         A = haar(rng, 3)
@@ -94,6 +102,52 @@ class TestPlanFormat:
                                      "residual_phases": [0, 0]})
 
 
+class Oracle(json.JSONEncoder):
+    """json's own encoder, reading a zero-argument callable as the tree it returns."""
+
+    def default(self, o):
+        return o() if callable(o) else super().default(o)
+
+
+ORACLE = Oracle(indent=2, sort_keys=True)
+NAN, INF = float("nan"), float("inf")
+
+
+class Real(float):
+    """A float subclass with its own repr, which json does not use."""
+
+    def __repr__(self):
+        return "Real()"
+
+
+ORACLE_CORPUS = [
+    NAN, INF, -INF, -0.0, 5e-324, 1e300, [NAN, INF, -INF, -0.0, 5e-324, 1e300, 0.1],
+    10 ** 400, -(10 ** 30), [10 ** 400, -(10 ** 30), 0], [True, 1, 1.0, False, 0, 0.0],
+    None, [None, None], True,
+    'say "hi" \\ \u2028 ünïcødé 光 😀', ["a\"b", "c\\d", "\u2028", "é", "%s", ""],
+    [], {}, (), [[]], [{}], [()], {"a": []}, {"a": {}}, [[], []], [{}, {}], ([], ()), [[[]]],
+    np.float64(0.1), [np.float64(0.1), np.float64(NAN), np.float64(-INF)],
+    Real(2.5), [Real(2.5), 1.0], [[Real(2.5), 1.0], [Real(-0.0), NAN]],
+    {2: "a", 0.5: "b", False: "c", 10: "d"}, {None: 1}, {NAN: 1, INF: 2, -INF: 3},
+    {"a\"b": 1, "é": 2, "\u2028": 3, "%s": 4, "50%": 5},
+    [1, "a", None, 2.5, [1, 2], {"k": "v"}, True, (3, 4)],
+    [{"a": 1, "b": [1, 2]}, {"a": 2, "b": [3]}],
+    [{"a": 1, "b": 2.5}, {"b": NAN, "a": 3}], [{"a": 1}, {"b": 1}],
+    [{"a": 1}, {"a": 1, "b": 2}],
+    [{"%s": 1, "b%": "x%sy"}, {"%s": True, "b%": None}], [{2: 1, 0.5: 2}, {0.5: 3, 2: 4}],
+    [{None: 1}, {None: -0.0}],
+    [[1.0, NAN], [-0.0, 2.0]], [[1, 2], [3]], [[1, 2], (3, 4)], ((1, 2), (3, 4)),
+    [[1, [2]], [3, [4]]], [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, -INF]]],
+    {"deep": [[[[[[[[1, {"x": [2, 3]}]]]]]]]]},
+    lambda: [1, 2], [lambda: {"z": None, "a": [lambda: 1.5]}, lambda: [], 3],
+    {"b": lambda: lambda: {"q": [[1, 2], [3, lambda: 4]]}, "a": [lambda: {"x": 1}] * 3},
+]
+ORACLE_ERRORS = [
+    1j, np.int64(1), {1, 2}, object(), [1.0, 2j], [[1, 2], [3, 4j]], [{"a": 1}, {"a": {2}}],
+    {(1, 2): 3}, [{(1, 2): 3}], lambda: [1j], {"a": 1, 2: "b"}, [{"a": 1, 2: "b"}],
+]
+
+
 class TestCanonicalWriter:
     OBJ = {"b": [1.5, {"z": None, "a": True}], "a": "text", "c": []}
 
@@ -110,6 +164,25 @@ class TestCanonicalWriter:
         assert serialize.dumps_canonical(deferred) == serialize.dumps_canonical(self.OBJ)
         with pytest.raises(TypeError, match="Object of type complex is not JSON serializable"):
             serialize.dumps_canonical([1j])
+
+    @pytest.mark.parametrize("value", ORACLE_CORPUS, ids=map(str, range(len(ORACLE_CORPUS))))
+    def test_json_is_the_oracle(self, value):
+        assert serialize.dumps_canonical(value) == ORACLE.encode(value) + "\n"
+
+    @pytest.mark.parametrize("value", ORACLE_ERRORS, ids=map(str, range(len(ORACLE_ERRORS))))
+    def test_json_is_the_oracle_of_type_errors(self, value):
+        with pytest.raises(TypeError) as theirs:
+            ORACLE.encode(value)
+        with pytest.raises(TypeError) as ours:
+            serialize.dumps_canonical(value)
+        assert str(ours.value) == str(theirs.value)
+
+    def test_cycles_recurse_without_end(self):
+        # json raises ValueError; no caller builds a cycle
+        loop = []
+        loop.append(loop)
+        with pytest.raises(RecursionError):
+            serialize.dumps_canonical(loop)
 
     def test_save_replaces_whole_files_only(self, tmp_path):
         path = tmp_path / "obj.json"
