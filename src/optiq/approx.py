@@ -87,9 +87,7 @@ class ApproxResult:
     ``evolution`` is the closest reachable M x M matrix found and
     ``scattering`` the m x m matrix realizing it:
     ``evolution_matrix(scattering) == evolution`` bit for bit. ``trace[i]``
-    describes the iterate after i updates; ``matrix_trace`` additionally
-    holds the (scattering, evolution) pair, related alike, per recorded
-    step when the run was asked to keep them.
+    describes the iterate after i updates.
     """
 
     evolution: np.ndarray
@@ -98,12 +96,10 @@ class ApproxResult:
     iterations: int
     converged: bool
     trace: list[IterationRecord]
-    matrix_trace: list[tuple[np.ndarray, np.ndarray]] | None = None
 
 
 def approximate(U, start, image_basis: ImageBasis,
-                tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                *, keep_matrices: bool = False) -> ApproxResult:
+                tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> ApproxResult:
     """Run the projection iteration from one scattering-matrix seed.
 
     Args:
@@ -114,8 +110,6 @@ def approximate(U, start, image_basis: ImageBasis,
         image_basis: orthonormal basis of the reachable subalgebra.
         tol: stop once the tangent-component norm falls below this.
         max_iter: maximum number of multiplicative updates.
-        keep_matrices: record the (scattering, evolution) pair at every
-            step, for invariant checks.
 
     At every step the new distance and the new geodesic norm are checked
     against the previous normal-component norm, the inequalities exact
@@ -124,11 +118,11 @@ def approximate(U, start, image_basis: ImageBasis,
     WITNESS_TOL, or a distance or norm that is not finite, raises
     NumericalInstabilityError with the offending step index.
     """
-    return _iterate(U, [start], image_basis, tol, max_iter, keep_matrices)[0]
+    return _iterate(U, [start], image_basis, tol, max_iter)[0]
 
 
-def _iterate(U, starts, image_basis: ImageBasis, tol: float, max_iter: int,
-             keep_matrices: bool = False) -> list[ApproxResult]:
+def _iterate(U, starts, image_basis: ImageBasis, tol: float,
+             max_iter: int) -> list[ApproxResult]:
     """Run the iteration from every start as one stack; one result per start.
 
     Each start's run makes the same checks, and gets the same bits, as it
@@ -154,19 +148,18 @@ def _iterate(U, starts, image_basis: ImageBasis, tol: float, max_iter: int,
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
     try:
-        return _run(U, np.array(S), image_basis, tol, max_iter, keep_matrices)
+        return _run(U, np.array(S), image_basis, tol, max_iter)
     except OptiqError as exc:
         if len(S) == 1:
             raise
         stacked = exc
     traceback.clear_frames(stacked.__traceback__)  # frees the failed stack's arrays
     for start in S:
-        _run(U, start[None], image_basis, tol, max_iter, keep_matrices)
+        _run(U, start[None], image_basis, tol, max_iter)
     raise stacked
 
 
-def _run(U, S, image_basis: ImageBasis, tol: float, max_iter: int,
-         keep_matrices: bool) -> list[ApproxResult]:
+def _run(U, S, image_basis: ImageBasis, tol: float, max_iter: int) -> list[ApproxResult]:
     """Step the checked starts S as one stack, dropping each as it finishes;
     raises at the first check any start fails."""
     fb = image_basis.basis
@@ -176,7 +169,6 @@ def _run(U, S, image_basis: ImageBasis, tol: float, max_iter: int,
     prev_normal = np.full(k, math.inf)
     shifts = np.full(k, CAYLEY_SHIFT)  # each row's next first Cayley shift
     traces: list[list[IterationRecord]] = [[] for _ in range(k)]
-    pairs: list[list] = [[] for _ in range(k)]
     final: list = [None] * k  # (scattering, evolution, converged) per start
     step = 0
     while True:
@@ -202,8 +194,6 @@ def _run(U, S, image_basis: ImageBasis, tol: float, max_iter: int,
                     f"geodesic norm {math.hypot(t_i, n_i):.12e} exceeds "
                     f"previous normal norm {p_i:.12e}", step=step)
             traces[i].append(IterationRecord(step, d_i, t_i, n_i))
-            if keep_matrices:
-                pairs[i].append((S[r].copy(), Ui[r].copy()))
             if t_i < tol or step == max_iter:
                 final[i] = (S[r].copy(), Ui[r].copy(), t_i < tol)
             else:
@@ -239,7 +229,6 @@ def _run(U, S, image_basis: ImageBasis, tol: float, max_iter: int,
         iterations=traces[i][-1].step,
         converged=converged,
         trace=traces[i],
-        matrix_trace=pairs[i] if keep_matrices else None,
     ) for i, (S_i, U_i, converged) in enumerate(final)]
 
 

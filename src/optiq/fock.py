@@ -9,6 +9,7 @@ specific order is required (reference data sets often fix their own).
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator, Sequence
 
@@ -41,13 +42,14 @@ def dimension(m: int, n: int) -> int:
 
 
 def _compositions(m: int, n: int) -> Iterator[tuple[int, ...]]:
-    """All weak compositions of n into m parts, lexicographically descending."""
-    if m == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in _compositions(m - 1, n - first):
-            yield (first,) + rest
+    """All weak compositions of n into m parts, lexicographically descending:
+    the occupation vectors of the multisets of n modes, taken in
+    lexicographic order."""
+    for modes in itertools.combinations_with_replacement(range(m), n):
+        counts = [0] * m
+        for j in modes:
+            counts[j] += 1
+        yield tuple(counts)
 
 
 class FockBasis:

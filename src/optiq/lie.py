@@ -13,7 +13,8 @@ pivots, and it keeps the preimage of every element, so projections can be
 pulled back to mode space exactly. :func:`project` and the engine's
 per-step witness read each element only on its :class:`ImageBasis`
 ``support``. :func:`principal_log` diagonalizes a unitary through one
-Hermitian ``eigh`` of a shifted Cayley transform.
+Hermitian ``eigh`` of a shifted Cayley transform, and :func:`polar_unitary`
+falls back to one ``eigh`` when an SVD fails: every kernel is numpy's.
 
 :func:`principal_log`, :func:`matrix_exp`, :func:`polar_unitary`,
 :func:`project` and :func:`distance` also take a stack (..., M, M) and act
@@ -75,26 +76,23 @@ def _dagger(A):
 def _cayley_eigh(U, alpha):
     """Eigenpairs of H = i(s - U)(s + U)^{-1}, s = e^{i alpha}, from one LU
     solve and one ``eigh`` per matrix of the stack U; this is the Cayley
-    transform of e^{-i alpha} U. ``alpha`` is one shift or one per matrix."""
-    if isinstance(alpha, np.ndarray):
-        z = np.array([cmath.exp(1j * a) for a in alpha])[:, None, None]
-    else:
-        z = cmath.exp(1j * alpha)
+    transform of e^{-i alpha} U. ``alpha`` holds one shift per matrix."""
+    z = np.array([cmath.exp(1j * a) for a in alpha])[:, None, None]
     s = z * np.eye(U.shape[-1])
     return np.linalg.eigh(np.linalg.solve(s + U, 1j * (s - U)))
 
 
 def _cayley_pass(U, alpha):
-    """:func:`_cayley_eigh` of a stack U at alpha, one shift or one per
-    matrix, with NaN tangents for each matrix whose solve is exactly
-    singular (LAPACK then fails the whole stack)."""
+    """:func:`_cayley_eigh` of a stack U at its per-matrix shifts alpha,
+    with NaN tangents for each matrix whose solve is exactly singular
+    (LAPACK then fails the whole stack)."""
     try:
         return _cayley_eigh(U, alpha)
     except np.linalg.LinAlgError:
         if len(U) == 1:
             return np.full(U.shape[:-1], np.nan), np.zeros_like(U)
-    each = zip(U, np.broadcast_to(alpha, len(U)))
-    return tuple(map(np.concatenate, zip(*(_cayley_pass(u[None], a) for u, a in each))))
+    each = (_cayley_pass(U[i:i + 1], alpha[i:i + 1]) for i in range(len(U)))
+    return tuple(map(np.concatenate, zip(*each)))
 
 
 def _eigen_angles(U, Q):
@@ -126,17 +124,17 @@ def principal_log(U, shifts=None) -> np.ndarray:
     v = Q diag(i theta) Q† is anti-Hermitized.
 
     Shift rule: the first pass takes alpha = CAYLEY_SHIFT, or with
-    ``shifts`` (a float64 array of shape U.shape[:-2]) each matrix's own
-    shift, and is kept when every |tan| is at most CAYLEY_BOUND. Otherwise
-    the pole moves to the middle of the widest gap between the angles just
-    read, at least 2 pi / M wide, and a second pass keeps every |tan|
-    within about cot(pi / 2M). A first pass whose solve is exactly
-    singular, or whose largest |tan| exceeds CAYLEY_POLE_BOUND, is retried
-    at alpha + k, k = 1, 2, ...; these poles are distinct, so at most M of
-    them can fail. ``shifts`` is then overwritten, like numpy's ``out=``,
-    with the mid-gap shift of each matrix's final angles: a caller whose
-    next matrix has nearly the same spectrum passes it back, and its first
-    pass is almost always kept.
+    ``shifts`` (a finite float64 array of shape U.shape[:-2]) each
+    matrix's own shift, and is kept when every |tan| is at most
+    CAYLEY_BOUND. Otherwise the pole moves to the middle of the widest gap
+    between the angles just read, at least 2 pi / M wide, and a second
+    pass keeps every |tan| within about cot(pi / 2M). A first pass whose
+    solve is exactly singular, or whose largest |tan| exceeds
+    CAYLEY_POLE_BOUND, is retried at alpha + k, k = 1, 2, ...; these poles
+    are distinct, so at most M of them can fail. ``shifts`` is then
+    overwritten, like numpy's ``out=``, with the mid-gap shift of each
+    matrix's final angles: a caller whose next matrix has nearly the same
+    spectrum passes it back, and its first pass is almost always kept.
 
     Branch: an exact eigenvalue -1 maps to angle +pi. A -1 that carries
     roundoff takes the sign of its perturbation; both signs of pi give a
@@ -147,24 +145,27 @@ def principal_log(U, shifts=None) -> np.ndarray:
     matrices that need them.
     """
     U = require_unitary(U, "principal_log input", stack=True)
-    if shifts is not None:
+    if shifts is None:
+        shifts = np.full(U.shape[:-2], CAYLEY_SHIFT)
+    elif not (isinstance(shifts, np.ndarray) and shifts.dtype == np.float64):
         # written in place, so a copy made here would lose the next shifts
-        if not (isinstance(shifts, np.ndarray) and shifts.dtype == np.float64):
-            raise TypeError(f"shifts must be a float64 array, got {type(shifts).__name__} "
-                            f"of {getattr(shifts, 'dtype', None)}")
-        if shifts.shape != U.shape[:-2]:
-            raise ShapeError(f"shifts shape {shifts.shape} does not match the stack "
-                             f"shape {U.shape[:-2]}")
+        raise TypeError(f"shifts must be a float64 array, got {type(shifts).__name__} "
+                        f"of {getattr(shifts, 'dtype', None)}")
+    elif shifts.shape != U.shape[:-2]:
+        raise ShapeError(f"shifts shape {shifts.shape} does not match the stack "
+                         f"shape {U.shape[:-2]}")
+    if not np.isfinite(shifts).all():
+        # every retry at a non-finite shift fails again
+        raise ValueError("shifts must be finite")
     flat = U.reshape((-1,) + U.shape[-2:])
-    first = CAYLEY_SHIFT if shifts is None else shifts.reshape(-1).copy()
+    first = shifts.reshape(-1).copy()
     tans, Q = _cayley_pass(flat, first)
     worst = np.abs(tans).max(axis=-1)
     k = 0
     while not (worst <= CAYLEY_POLE_BOUND).all():  # also NaN
         k += 1
         retry = np.flatnonzero(~(worst <= CAYLEY_POLE_BOUND))
-        alpha = first if shifts is None else first[retry]
-        tans, Q[retry] = _cayley_pass(flat[retry], alpha + k)
+        tans, Q[retry] = _cayley_pass(flat[retry], first[retry] + k)
         worst[retry] = np.abs(tans).max(axis=-1)
     theta = _eigen_angles(flat, Q)
     wide = worst > CAYLEY_BOUND
@@ -174,8 +175,7 @@ def principal_log(U, shifts=None) -> np.ndarray:
         U_wide = flat[wide]
         _, Q_wide = _cayley_eigh(U_wide, _mid_gap(theta[wide]))
         Q[wide], theta[wide] = Q_wide, _eigen_angles(U_wide, Q_wide)
-    if shifts is not None:
-        shifts[...] = _mid_gap(theta).reshape(shifts.shape)
+    shifts[...] = _mid_gap(theta).reshape(shifts.shape)
     v = (Q * (1j * theta)[:, None, :]) @ _dagger(Q)
     return ((v - _dagger(v)) / 2.0).reshape(U.shape)
 
@@ -194,9 +194,11 @@ def polar_unitary(A) -> np.ndarray:
     """Closest unitary in Frobenius norm, or to each of a stack: the polar
     factor W Vh of the SVD A = W diag(s) Vh. LAPACK's gesdd can fail to
     converge on a finite, nearly unitary matrix; then each matrix of a stack
-    is factored alone, and one that fails again takes the slower gesvd.
-    That fallback is optiq's only use of scipy, which it imports on first
-    use, so a run that never needs it never loads scipy."""
+    is factored alone, and one that fails again is factored through ``eigh``
+    of its Hermitian dilation [[0, A], [A†, 0]]. For full-rank A its m
+    largest eigenpairs are s_i and (w_i, v_i) / sqrt(2), up to a unitary
+    mixing within each repeated s_i, so with X their eigenvectors the polar
+    factor is 2 X[:m] X[m:]†."""
     A = as_complex_matrix(A, "polar input", stack=True)
     try:
         W, _, Vh = np.linalg.svd(A)
@@ -204,8 +206,10 @@ def polar_unitary(A) -> np.ndarray:
         if A.ndim > 2:
             flat = A.reshape((-1,) + A.shape[-2:])
             return np.reshape([polar_unitary(a) for a in flat], A.shape)
-        import scipy.linalg
-        W, _, Vh = scipy.linalg.svd(A, lapack_driver="gesvd")
+        m = len(A)
+        Z = np.zeros_like(A)
+        X = np.linalg.eigh(np.block([[Z, A], [_dagger(A), Z]]))[1][:, m:]
+        W, Vh = 2 * X[:m], _dagger(X[m:])
     return W @ Vh
 
 

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 import golden
+from optiq import approx
 from optiq.errors import ShapeError
 from optiq.fock import enumerate_basis
 from optiq.homomorphism import transition_positions
@@ -36,6 +37,23 @@ def image22_lex(basis22_lex):
 @pytest.fixture(scope="session")
 def image23():
     return build_image_basis(enumerate_basis(2, 3))
+
+
+@pytest.fixture
+def iterates(monkeypatch):
+    """Every (S, lift(S)) pair the engine forms, in order, one per matrix of
+    its stack: the pairs of one approximate() run are its iterates 0, 1,
+    ..., one per trace record. Clear it between runs."""
+    pairs = []
+    lift = approx.evolution_matrix
+
+    def recorded(S, basis):
+        U = lift(S, basis)
+        pairs.extend(zip(S, U))
+        return U
+
+    monkeypatch.setattr(approx, "evolution_matrix", recorded)
+    return pairs
 
 
 def inner(u, v) -> float:

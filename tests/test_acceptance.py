@@ -60,9 +60,7 @@ def test_criterion_2_golden_matrices(image22):
         assert np.max(np.abs(v - golden.LOG_U)) < 1e-4
         v_T, _, _ = project(v, image22)
         assert np.max(np.abs(v_T - golden.LOG_U_T)) < 1e-4
-        res = approximate(golden.QFT3, np.eye(2), image22, tol=1e-12, max_iter=1,
-                          keep_matrices=True)
-        U1 = res.matrix_trace[1][1]
+        U1 = approximate(golden.QFT3, np.eye(2), image22, tol=1e-12, max_iter=1).evolution
         assert np.max(np.abs(U1 - golden.U1)) < 1e-4
 
 
@@ -144,7 +142,7 @@ def test_criterion_6_principal_log_contract():
                 assert np.linalg.norm(v) <= np.linalg.norm(w) + 1e-12
 
 
-def test_criterion_7_per_run_invariants(image22_lex):
+def test_criterion_7_per_run_invariants(image22_lex, iterates):
     label = ("per-run invariants on 200 Haar targets: geodesic-norm descent, "
              "step bound, witness, fidelity")
     with criterion(7, label):
@@ -152,7 +150,9 @@ def test_criterion_7_per_run_invariants(image22_lex):
         rng = np.random.default_rng(555)
         for t in range(200):
             U = haar(rng, 3)
-            res = approximate(U, np.eye(2), image22_lex, keep_matrices=True)
+            iterates.clear()
+            res = approximate(U, np.eye(2), image22_lex)
+            assert len(iterates) == len(res.trace)
             # the geodesic norm is the provably monotone distance proxy; the
             # recorded Frobenius distance obeys the per-step normal-norm bound
             for prev, cur in zip(res.trace, res.trace[1:]):
@@ -160,7 +160,7 @@ def test_criterion_7_per_run_invariants(image22_lex):
                 assert geo <= prev.normal_norm + 1e-9
                 assert geo <= math.hypot(prev.tangent_norm, prev.normal_norm) + 1e-9
                 assert cur.distance <= prev.normal_norm + 1e-9
-            for k, (S_k, U_k) in enumerate(res.matrix_trace):
+            for k, (S_k, U_k) in enumerate(iterates):
                 assert distance(evolution_matrix(S_k, fb), U_k) < 1e-8 * (k + 1)
             psi = rng.standard_normal((3, 100)) + 1j * rng.standard_normal((3, 100))
             psi /= np.linalg.norm(psi, axis=0)
@@ -168,7 +168,7 @@ def test_criterion_7_per_run_invariants(image22_lex):
                 vn = res.trace[k].normal_norm
                 if vn ** 2 > 2:
                     continue  # bound vacuous at this step
-                U_next = res.matrix_trace[k + 1][1]
+                U_next = iterates[k + 1][1]
                 overlaps = np.abs(np.einsum("ik,ij,jk->k", psi.conj(),
                                             U.conj().T @ U_next, psi))
                 assert np.all(overlaps >= 1 - vn ** 2 / 2 - 1e-9)

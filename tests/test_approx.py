@@ -69,18 +69,20 @@ class TestApproximate:
         assert res.converged and res.iterations == 0
         assert res.final_distance == 0.0
 
-    def test_per_step_invariants(self, image22_lex):
+    def test_per_step_invariants(self, image22_lex, iterates):
         rng = np.random.default_rng(21)
         for _ in range(10):
             U = haar(rng, 3)
-            res = approximate(U, np.eye(2), image22_lex, keep_matrices=True)
+            iterates.clear()
+            res = approximate(U, np.eye(2), image22_lex)
+            assert len(iterates) == len(res.trace)
             for prev, cur in zip(res.trace, res.trace[1:]):
                 # provable step bounds: both the new distance and the new
                 # geodesic norm sit below the previous normal norm
                 assert cur.distance <= prev.normal_norm + 1e-9
                 geo = math.hypot(cur.tangent_norm, cur.normal_norm)
                 assert geo <= prev.normal_norm + 1e-9
-            for k, (S_k, U_k) in enumerate(res.matrix_trace):
+            for k, (S_k, U_k) in enumerate(iterates):
                 assert distance(evolution_matrix(S_k, image22_lex.basis), U_k) \
                     < 1e-8 * (k + 1)
 
@@ -91,18 +93,19 @@ class TestApproximate:
             geo = [math.hypot(r.tangent_norm, r.normal_norm) for r in res.trace]
             assert all(b <= a + 1e-9 for a, b in zip(geo, geo[1:]))
 
-    def test_witness_on_result(self, image22):
-        # every returned and recorded evolution is the lift of its
-        # scattering matrix, bit for bit
+    def test_witness_on_result(self, image22, iterates):
+        # every returned evolution, and every iterate the engine forms, is
+        # the lift of its scattering matrix, bit for bit
         for image in (image22, build_image_basis(enumerate_basis(3, 3))):
             fb = image.basis
             U = golden.QFT3 if image is image22 else haar_random(len(fb), 3)
-            res = approximate(U, np.eye(fb.m), image, max_iter=60, keep_matrices=True)
+            iterates.clear()
+            res = approximate(U, np.eye(fb.m), image, max_iter=60)
             reps = [r for r, _ in multi_start(U, image, k=8, max_iter=60, rng_seed=3)]
-            for S, E in [(r.scattering, r.evolution) for r in [res, *reps]] + res.matrix_trace:
+            for S, E in [(r.scattering, r.evolution) for r in [res, *reps]] + iterates:
                 assert np.array_equal(evolution_matrix(S, fb), E)
 
-    def test_carried_cayley_shift(self, monkeypatch):
+    def test_carried_cayley_shift(self, monkeypatch, iterates):
         # U_i† U moves little per step, so a first Cayley pass at the mid-gap
         # shift of the previous step's angles is almost always kept; from
         # the fixed shift, many of the same logs need a mid-gap pass
@@ -112,10 +115,11 @@ class TestApproximate:
         for seed in (1, 2, 3):
             U = haar_random(35, derive_seed(seed, 0))
             passes.clear()
-            res = approximate(U, np.eye(4), image, max_iter=30, keep_matrices=True)
+            iterates.clear()
+            res = approximate(U, np.eye(4), image, max_iter=30)
             carried += len(passes) - len(res.trace)
             passes.clear()
-            for _, U_i in res.matrix_trace:
+            for _, U_i in iterates:
                 principal_log(U_i.conj().T @ U)
             fixed += len(passes) - len(res.trace)
         assert fixed > 0 and 2 * carried <= fixed

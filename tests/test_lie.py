@@ -215,10 +215,12 @@ class TestPrincipalLog:
         # the first pass covers the stack, once stacked and, as its solve
         # fails, once per matrix; the retry and the mid-gap pass cover
         # only the matrices that need them
-        shapes = [(shape[0], alpha) for shape, alpha in stacked]
-        assert shapes[:5] == [(4, lie.CAYLEY_SHIFT)] + [(1, lie.CAYLEY_SHIFT)] * 4
-        assert shapes[5] == (2, lie.CAYLEY_SHIFT + 1)
+        shapes = [(shape[0], alpha.tolist()) for shape, alpha in stacked]
+        assert shapes[:5] == [(4, [lie.CAYLEY_SHIFT] * 4)] + [(1, [lie.CAYLEY_SHIFT])] * 4
+        assert shapes[5] == (2, [lie.CAYLEY_SHIFT + 1] * 2)
         assert shapes[6][0] == 1 and len(shapes) == 7
+        # no shifts is a fresh array of the fixed shift
+        assert np.array_equal(principal_log(U, np.full(U.shape[:-2], lie.CAYLEY_SHIFT)), got)
         # likewise with a carried shift per matrix; the pole of matrix 1
         # again sits exactly on an eigenvalue and fails the stacked solve
         shifts = np.array([0.3, lie.CAYLEY_SHIFT, -2.0, 1.0])
@@ -229,10 +231,13 @@ class TestPrincipalLog:
             assert shifts[i] == each[i]
             assert np.max(np.abs(got[i] - schur_log(U[i]))) < 1e-12
         # shifts are written in place, so they must be a float64 array of
-        # the stack's shape
+        # the stack's shape; a non-finite shift would be retried forever
         for bad, error in [(np.zeros(4, dtype=int), TypeError), ([0.0] * 4, TypeError),
                            (0.0, TypeError), (np.zeros(3), ShapeError),
-                           (np.zeros((4, 1)), ShapeError)]:
+                           (np.zeros((4, 1)), ShapeError),
+                           (np.array([0.3, np.nan, 0.0, 0.0]), ValueError),
+                           (np.full(4, np.inf), ValueError),
+                           (np.array([0.0, 0.0, 0.0, -np.inf]), ValueError)]:
             with pytest.raises(error, match="shifts"):
                 principal_log(U, bad)
 
@@ -297,25 +302,33 @@ def test_polar_unitary_stack_matches_each_matrix():
 
 
 def test_polar_unitary_falls_back_to_gesvd(monkeypatch):
-    # gesdd can fail to converge on a finite, nearly unitary matrix
+    # gesdd can fail to converge on a finite, nearly unitary matrix; the
+    # fallback gives gesvd's polar factor to roundoff, also far from unitary
     A = drifted_unitaries(np.random.default_rng(71), 6, 3)
     want = [polar_unitary(a) for a in A]
-    W, _, Vh = scipy.linalg.svd(A[1], lapack_driver="gesvd")
+    rng = np.random.default_rng(72)
+    # singular values 0.7 to 1.3: full rank, 0.3 from unitary
+    far = (haar(rng, 70) * np.linspace(0.7, 1.3, 70)) @ haar(rng, 70)
+    gesvd = []
+    for a in (A[1], far):
+        W, _, Vh = scipy.linalg.svd(a, lapack_driver="gesvd")
+        gesvd.append(W @ Vh)
     svd = np.linalg.svd
 
-    def gesdd_fails_on_member_1(a, *args, **kwargs):
-        if a.ndim > 2 or np.array_equal(a, A[1]):
+    def gesdd_fails(a, *args, **kwargs):
+        if a.ndim > 2 or np.array_equal(a, A[1]) or a.shape == far.shape:
             raise np.linalg.LinAlgError("SVD did not converge")
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", gesdd_fails_on_member_1)
+    monkeypatch.setattr(np.linalg, "svd", gesdd_fails)
     # on a stack, only the failing member takes the fallback
     got = polar_unitary(A)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
-    assert np.array_equal(got[1], W @ Vh)
-    assert np.linalg.norm(got[1].conj().T @ got[1] - np.eye(6)) < 1e-13
+    assert np.array_equal(got[1], polar_unitary(A[1]))
     assert distance(got[1], want[1]) < 1e-13
-    assert np.array_equal(polar_unitary(A[1]), W @ Vh)
+    for P, W_Vh in [(got[1], gesvd[0]), (polar_unitary(far), gesvd[1])]:
+        assert np.max(np.abs(P - W_Vh)) < 1e-12
+        assert np.linalg.norm(P.conj().T @ P - np.eye(len(P))) < 1e-13
 
 
 def dense_build(basis):
