@@ -67,6 +67,10 @@ WITNESS_TOL = 1e-8
 #: 200 at M = 70 and 16 at M = 252.
 STACK_BYTES = 16 * 2**20
 
+#: Final distances this close tie, as members of one fixed point do under
+#: roundoff: a tie keeps the earlier start and the earlier cluster first.
+TIE_TOL = 1e-9
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -271,12 +275,12 @@ def multi_start(U, image_basis: ImageBasis, k: int,
     The starts run as one batched stack, in consecutive chunks of at most
     STACK_BYTES of evolutions. Start i draws its seed from (rng_seed, i)
     and its result depends on nothing else: not on k, nor on the chunking.
-    Results whose evolution matrices lie within ``cluster_tol`` in
-    Frobenius distance are grouped in start order; each group is
-    represented by its member with the lowest final distance. Returns
-    (representative, hit count) pairs sorted by final distance ascending.
-    Deterministic in all arguments. If runs fail, the error is that of the
-    lowest-index failing start.
+    A result joins, in start order, the first cluster whose representative
+    lies within ``cluster_tol`` in Frobenius distance; that is its first
+    start until a later member is closer by more than TIE_TOL. Returns
+    (representative, hit count) pairs sorted by final distance in steps of
+    TIE_TOL, ties in first-start order, so roundoff changes neither. If runs
+    fail, the error is that of the lowest-index failing start.
     """
     if require_int(k) < 1:
         raise ValueError(f"start count must be >= 1, got {k}")
@@ -295,12 +299,12 @@ def multi_start(U, image_basis: ImageBasis, k: int,
             if len(near):
                 entry = clusters[near[0]]
                 entry[1] += 1
-                if res.final_distance < entry[0].final_distance:
+                if res.final_distance < entry[0].final_distance - TIE_TOL:
                     entry[0] = res
             else:
                 clusters.append([res, 1])
-    clusters.sort(key=lambda entry: entry[0].final_distance)
-    return [(entry[0], entry[1]) for entry in clusters]
+    return [tuple(entry) for entry in
+            sorted(clusters, key=lambda entry: round(entry[0].final_distance / TIE_TOL))]
 
 
 def fidelity_bound(v_N_norm: float) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .approx import (DEFAULT_CLUSTER_TOL, DEFAULT_MAX_ITER, DEFAULT_TOL,
+from .approx import (DEFAULT_CLUSTER_TOL, DEFAULT_MAX_ITER, DEFAULT_TOL, TIE_TOL,
                      fidelity_bound, haar_random, multi_start)
 from .circuit import decompose, reconstruct
 from .errors import (NumericalInstabilityError, OptiqError, ShapeError,
@@ -33,7 +33,7 @@ from .homomorphism import evolution_matrix
 from .lie import build_image_basis, distance
 from .validate import require_int, require_unitary, unitarity_residual
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 @dataclass
@@ -119,17 +119,17 @@ def _cluster_builder(result, hits: int, include_trace: bool):
 
 
 def _search(config: RunConfig, target: np.ndarray):
-    """The basis and the engine's (representative, hit count) clusters for a
-    target that must be a unitary of the basis's dimension."""
+    """The engine's (representative, hit count) clusters for a target that
+    must be a unitary of the configured basis's dimension."""
     basis = config.basis()
     if target.shape[0] != len(basis):
         raise ShapeError(
             f"target dimension {target.shape[0]} does not match "
             f"dimension(m={config.m}, n={config.n}) = {len(basis)}")
     require_unitary(target, "target")
-    return basis, multi_start(target, build_image_basis(basis), config.starts,
-                              tol=config.tol, max_iter=config.max_iter,
-                              rng_seed=config.rng_seed, cluster_tol=config.cluster_tol)
+    return multi_start(target, build_image_basis(basis), config.starts,
+                       tol=config.tol, max_iter=config.max_iter,
+                       rng_seed=config.rng_seed, cluster_tol=config.cluster_tol)
 
 
 def cmd_approximate(args) -> int:
@@ -138,7 +138,7 @@ def cmd_approximate(args) -> int:
                        tol=args.tol, max_iter=args.max_iter, starts=args.starts,
                        rng_seed=args.seed, cluster_tol=args.cluster_tol)
     target = serialize.load_matrix(args.target)
-    _, clusters = _search(config, target)
+    clusters = _search(config, target)
     _write_output(args.output, {
         "format_version": REPORT_VERSION,
         "config": config.to_obj(),
@@ -154,14 +154,9 @@ def cmd_approximate(args) -> int:
     return 0
 
 
-#: Fields of a report's cluster that replay must reproduce exactly. The
-#: representative's iterations and scattering matrix are not among them:
-#: members at one fixed point tie in distance to within roundoff, so another
-#: BLAS may pick another member, and a scattering matrix is fixed by its lift
-#: only up to an n-th root of unity. The recorded scattering matrix is
-#: checked through its lift instead.
-EXACT_FIELDS = ("hit_count", "converged")
-REPLAY_TOL = 1e-9
+#: Cluster fields replay must reproduce exactly; the others within REPLAY_TOL.
+EXACT_FIELDS = ("hit_count", "converged", "iterations")
+REPLAY_TOL = TIE_TOL
 
 
 def _cluster_fields(cluster: dict) -> dict:
@@ -174,36 +169,23 @@ def _cluster_fields(cluster: dict) -> dict:
     return fields
 
 
-def _gap(A: np.ndarray, B: np.ndarray) -> float:
-    """Largest entry difference of A and B; infinite for different shapes."""
-    return float(np.abs(A - B).max()) if A.shape == B.shape else np.inf
-
-
-def _mismatches(old: list[dict], new: list[dict], basis: FockBasis) -> list[str]:
-    """Every difference between recorded and recomputed clusters."""
+def _mismatches(old: list[dict], new: list[dict]) -> list[str]:
+    """Every difference between recorded and recomputed clusters, paired by
+    position: the engine fixes each cluster's representative and place."""
     if len(old) != len(new):
         return [f"{len(old)} recorded clusters vs {len(new)} recomputed"]
     found = []
-    worst = max((abs(a["final_distance"] - b["final_distance"])
-                 for a, b in zip(old, new)), default=0.0)
+    worst = max(abs(a["final_distance"] - b["final_distance"]) for a, b in zip(old, new))
     if worst > REPLAY_TOL:
         found.append(f"distances differ by {worst:.3e}")
-    for i, a in enumerate(old):
-        # clusters whose distances tie may swap places: compare with the
-        # nearest evolution among the recomputed clusters at this distance
-        tied = [c for c in new if abs(c["final_distance"] - a["final_distance"]) <= REPLAY_TOL]
-        b = min(tied or [new[i]], key=lambda c: _gap(a["evolution_matrix"], c["evolution_matrix"]))
+    for i, (a, b) in enumerate(zip(old, new)):
         for key in EXACT_FIELDS:
             if repr(a[key]) != repr(b[key]):  # 1 is not True
                 found.append(f"cluster {i} {key} {a[key]!r} recorded vs {b[key]!r} recomputed")
-        if not (gap := _gap(a["evolution_matrix"], b["evolution_matrix"])) <= REPLAY_TOL:
-            found.append(f"cluster {i} evolution_matrix differs by {gap:.3e}")
-        S = a["scattering_matrix"]
-        gap = (_gap(evolution_matrix(S, basis), a["evolution_matrix"])
-               if S.shape == (basis.m, basis.m) else np.inf)
-        if not gap <= REPLAY_TOL:
-            found.append(f"cluster {i} scattering_matrix lifts {gap:.3e} away from "
-                         f"its evolution_matrix")
+        for key in ("scattering_matrix", "evolution_matrix"):
+            gap = float(np.abs(a[key] - b[key]).max()) if a[key].shape == b[key].shape else np.inf
+            if not gap <= REPLAY_TOL:
+                found.append(f"cluster {i} {key} differs by {gap:.3e}")
     return found
 
 
@@ -218,10 +200,10 @@ def cmd_replay(args) -> int:
         raise OptiqError(f"malformed report: {exc!r}") from None
     config = RunConfig.from_obj(config_obj)
     target = serialize.matrix_from_obj(target_obj)
-    basis, clusters = _search(config, target)
-    new = [{"hit_count": hits, "converged": r.converged, "final_distance": r.final_distance,
-            "evolution_matrix": r.evolution} for r, hits in clusters]
-    found = _mismatches(old, new, basis)
+    new = [{"hit_count": hits, "converged": r.converged, "iterations": r.iterations,
+            "final_distance": r.final_distance, "scattering_matrix": r.scattering,
+            "evolution_matrix": r.evolution} for r, hits in _search(config, target)]
+    found = _mismatches(old, new)
     for line in found:
         _log(f"replay mismatch: {line}")
     if found:

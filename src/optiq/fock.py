@@ -41,6 +41,13 @@ def dimension(m: int, n: int) -> int:
     return math.comb(m + n - 1, n)
 
 
+def _occupations(state) -> tuple[int, ...]:
+    """``state`` as a tuple of ints; unless all are plain ints, each entry
+    goes through :func:`require_int`, so bool, float and str raise TypeError."""
+    state = tuple(state)
+    return state if set(map(type, state)) <= {int} else tuple(map(require_int, state))
+
+
 def _compositions(m: int, n: int) -> Iterator[tuple[int, ...]]:
     """All weak compositions of n into m parts, lexicographically descending:
     the occupation vectors of the multisets of n modes, taken in
@@ -68,14 +75,14 @@ class FockBasis:
         self.m = int(m)
         self.n = int(n)
         try:
-            self.states = tuple(tuple(map(require_int, s)) for s in states)
+            self.states = tuple(map(_occupations, states))
         except TypeError as exc:
             raise InvalidOrderingError(f"malformed state list: {exc}") from None
         self.ordering = ordering
-        self._lift_tables = None  # built on first use by the homomorphism module
+        self._lift_tables = {}  # filled on first use by the homomorphism module
         expected = dimension(self.m, self.n)
         for s in self.states:
-            if len(s) != self.m or any(x < 0 for x in s) or sum(s) != self.n:
+            if len(s) != self.m or min(s, default=0) < 0 or sum(s) != self.n:
                 raise InvalidOrderingError(
                     f"{s} is not an {self.n}-photon occupation vector on {self.m} modes")
         self._index = {s: k for k, s in enumerate(self.states)}
@@ -100,12 +107,11 @@ class FockBasis:
     def index_of(self, state: Sequence[int]) -> int:
         """Position of ``state`` in the enumeration (dictionary lookup)."""
         try:
-            key = tuple(map(require_int, state))
+            key = _occupations(state)
+            return self._index[key]
         except TypeError:
             raise UnknownStateError(f"{state!r} is not a vector of integer "
                                     "occupations") from None
-        try:
-            return self._index[key]
         except KeyError:
             raise UnknownStateError(f"{key} is not in this basis") from None
 

@@ -32,12 +32,10 @@ from .fock import FockBasis, _compositions, enumerate_basis
 
 
 def _level(basis: FockBasis) -> tuple[np.ndarray, ...]:
-    """(up, w, occ, c, src, div, pairs, ww) for the states of ``basis``:
+    """(up, w, c, src, div) for the states of ``basis``:
     a†_j |r> = w[r, j] |up[r, j]> for the lex-ordered states r with one
-    photon fewer (w = sqrt(r_j + 1)), and each state q's occupations
-    occ[q], first occupied mode c[q], state src[q] = q - e_c and
-    div[q] = sqrt(q_c); then the off-diagonal mode pairs (j, k), j != k,
-    as two index arrays, and ww[r, i] = w[r, j] w[r, k] for pair i."""
+    photon fewer (w = sqrt(r_j + 1)), and each state q's first occupied
+    mode c[q], state src[q] = q - e_c and div[q] = sqrt(q_c)."""
     m = basis.m
     lower = np.array(list(_compositions(m, basis.n - 1)))
     raised = lower[:, None, :] + np.eye(m, dtype=int)
@@ -47,20 +45,28 @@ def _level(basis: FockBasis) -> tuple[np.ndarray, ...]:
     hit = c[up] == np.arange(m)  # up[r, j] = q with j = c_q, once per q
     src = np.empty(len(basis), dtype=int)
     src[up[hit]] = np.nonzero(hit)[0]
-    w = np.sqrt(lower + 1.0)
-    j, k = pairs = np.nonzero(~np.eye(m, dtype=bool))
-    return (up, w, occ, c, src, np.sqrt(occ[np.arange(len(basis)), c]),
-            pairs, w[:, j] * w[:, k])
+    return up, np.sqrt(lower + 1.0), c, src, np.sqrt(occ[np.arange(len(basis)), c])
 
 
 def _levels(basis: FockBasis) -> tuple[tuple[np.ndarray, ...], ...]:
     """The tables of photon levels 1, ..., n, the last in ``basis``'s own
     order; built on first use and kept on the (immutable) basis."""
-    if basis._lift_tables is None:
-        basis._lift_tables = tuple(
+    if "levels" not in basis._lift_tables:
+        basis._lift_tables["levels"] = tuple(
             _level(basis if k == basis.n else enumerate_basis(basis.m, k, max_dim=None))
             for k in range(1, basis.n + 1))
-    return basis._lift_tables
+    return basis._lift_tables["levels"]
+
+
+def _transitions(basis: FockBasis) -> tuple[np.ndarray, ...]:
+    """(up, occ, j, k, ww): the top level's up, the occupations occ[q], the
+    mode pairs j != k and ww[r, i] = w[r, j] w[r, k]. They grow as m^2, so
+    only the generator lift builds them, on first use; kept on the basis."""
+    if "transitions" not in basis._lift_tables:
+        up, w, *_ = _levels(basis)[-1]
+        j, k = np.nonzero(~np.eye(basis.m, dtype=bool))
+        basis._lift_tables["transitions"] = (up, np.array(basis.states), j, k, w[:, j] * w[:, k])
+    return basis._lift_tables["transitions"]
 
 
 def evolution_matrix(S, basis: FockBasis) -> np.ndarray:
@@ -78,7 +84,7 @@ def evolution_matrix(S, basis: FockBasis) -> np.ndarray:
         raise ShapeError(
             f"scattering matrix shape {S.shape} does not match basis with m={basis.m}")
     U = np.ones(S.shape[:-2] + (1, 1), dtype=complex)
-    for up, w, _, c, src, div, *_ in _levels(basis):
+    for up, w, c, src, div in _levels(basis):
         prev = U[..., src]
         U = np.zeros(S.shape[:-2] + (len(c), len(c)), dtype=complex)
         for j in range(basis.m):  # the rows up[:, j] are distinct
@@ -94,7 +100,7 @@ def transition_positions(basis: FockBasis) -> np.ndarray:
     :func:`transition_entries`: the off-diagonal a†_j a_k, j != k, of every
     state with one photon fewer, then the diagonal. There are
     P = M + m(m-1) dim(m, n-1) of them, all distinct."""
-    up, *_, (j, k), _ = _levels(basis)[-1]
+    up, _, j, k, _ = _transitions(basis)
     M = len(basis)
     return np.concatenate([(up[:, j] * M + up[:, k]).ravel(), np.arange(M) * (M + 1)])
 
@@ -109,7 +115,7 @@ def transition_entries(A, basis: FockBasis) -> np.ndarray:
     if A.shape[-2:] != (basis.m, basis.m):
         raise ShapeError(
             f"generator shape {A.shape} does not match basis with m={basis.m}")
-    _, _, occ, *_, (j, k), ww = _levels(basis)[-1]
+    _, occ, j, k, ww = _transitions(basis)
     off = A[..., None, j, k] * ww
     diag = (np.diagonal(A, axis1=-2, axis2=-1)[..., None, :] * occ).sum(-1)
     return np.concatenate([off.reshape(A.shape[:-2] + (-1,)), diag], axis=-1)

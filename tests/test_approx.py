@@ -350,6 +350,23 @@ class TestMultiStart:
         assert all(np.array_equal(ra.evolution, rb.evolution)
                    for (ra, _), (rb, _) in zip(a, b))
 
+    @pytest.mark.parametrize("seed", [7, 8, 9, 31])
+    def test_representatives_ignore_roundoff(self, image22, monkeypatch, seed):
+        # a unit phase of 2e-15 on every step's exponential moves each
+        # start's final distance by roundoff alone; the members of one fixed
+        # point tie, so neither the representatives nor the order may change
+        def census():
+            return multi_start(golden.QFT3, image22, k=20, max_iter=500, rng_seed=seed)
+
+        before = census()
+        exp = approx.matrix_exp
+        monkeypatch.setattr(approx, "matrix_exp", lambda A: exp(A) * np.exp(2e-15j))
+        after = census()
+        assert [(h, r.iterations) for r, h in before] == [(h, r.iterations) for r, h in after]
+        for (a, _), (b, _) in zip(before, after):
+            assert np.abs(a.scattering - b.scattering).max() < 1e-9
+            assert np.abs(a.evolution - b.evolution).max() < 1e-9
+
     def test_validates_k(self, image22):
         with pytest.raises(ValueError):
             multi_start(golden.QFT3, image22, k=0)

@@ -69,6 +69,16 @@ def test_enumerate_rejects_bad_orderings():
         enumerate_basis(2, 2, ordering=[(2, 0), (0, 2), (True, True)])  # bool
 
 
+def test_state_entries_are_checked_by_type():
+    # numpy integers become ints; bool, float and str entries are rejected
+    basis = enumerate_basis(2, 2, ordering=[(np.int64(2), 0), (0, np.int8(2)), (1, 1)])
+    assert basis.states == ((2, 0), (0, 2), (1, 1))
+    assert {type(x) for s in basis.states for x in s} == {int}
+    for state in [(True, True), (1.0, 1), ("1", 1)]:
+        with pytest.raises(InvalidOrderingError):
+            enumerate_basis(2, 2, ordering=[(2, 0), (0, 2), state])
+
+
 def test_enumerate_dimension_cap():
     with pytest.raises(DimensionOverflowError):
         enumerate_basis(30, 30)

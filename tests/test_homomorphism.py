@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ def second_quantize_dense(A, basis):
     sum_{jk} A[j,k] a†_j a_k with off-diagonal entries A[j,k] w[r,j] w[r,k]
     and diagonal sum_j A[j,j] q_j."""
     A = np.asarray(A, dtype=complex)
-    up, w, occ, *_ = _levels(basis)[-1]
+    up, w, *_ = _levels(basis)[-1]
+    occ = np.array(basis.states)
     j, k = np.nonzero(~np.eye(basis.m, dtype=bool))
     M = len(basis)
     out = np.zeros(A.shape[:-2] + (M, M), dtype=complex)
@@ -148,6 +150,21 @@ class TestEvolutionMatrix:
             assert np.linalg.norm(evolution_matrix(S1 @ S2, basis) - U1 @ U2) < 1e-9
             assert np.linalg.norm(U1.conj().T @ U1 - np.eye(M)) < 1e-9
             assert np.linalg.norm(evolution_matrix(S1.conj().T, basis) - U1.conj().T) < 1e-9
+
+    def test_first_lift_memory_follows_its_result(self):
+        # one photon in 1500 modes: the first lift builds its tables too,
+        # but not the generator lift's m(m - 1) mode pairs
+        basis = enumerate_basis(1500, 1)
+        rng = np.random.default_rng(8)
+        S = np.eye(1500)[rng.permutation(1500)] * np.exp(1j * rng.uniform(-np.pi, np.pi, 1500))
+        tracemalloc.start()
+        try:
+            U = evolution_matrix(S, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(U, S)
+        assert peak < 2 * U.nbytes, (peak, U.nbytes)
 
 
 class TestSecondQuantize:
