@@ -185,8 +185,15 @@ def save_json(path, obj) -> None:
         raise
 
 
+def _loads(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:  # nested deeper than the interpreter's stack allows
+        raise OptiqError("JSON nested too deeply to read") from None
+
+
 def load_json(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    return _loads(Path(path).read_text(encoding="utf-8"))
 
 
 # -- complex matrices --------------------------------------------------------
@@ -218,7 +225,7 @@ def matrix_from_obj(obj) -> np.ndarray:
     try:
         A = np.array([[complex(_number(re), _number(im)) for re, im in row] for row in rows],
                      dtype=complex)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise OptiqError(f"malformed matrix entries: {exc}") from None
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeError(f"matrix entries must be square, got shape {A.shape}")
@@ -255,7 +262,7 @@ def load_matrix(path) -> np.ndarray:
     """Read a matrix file, JSON or plain text, sniffing on the first byte."""
     text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
-        return matrix_from_obj(json.loads(text))
+        return matrix_from_obj(_loads(text))
     return parse_text_matrix(text)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import golden
-from optiq import cli, serialize
+from optiq import approx, cli, serialize
 from optiq.approx import approximate, fidelity_bound, haar_random, multi_start
 from optiq.circuit import CircuitPlan, OpticalElement, decompose
 from optiq.cli import main
@@ -295,15 +295,18 @@ class TestApproximateCommand:
         for tamper, message in [
                 (lambda clusters: clusters[0].update(
                     final_distance=clusters[0]["final_distance"] + 0.5),
-                 "replay mismatch: distances differ"),
-                (lambda clusters: clusters.pop(), "recorded clusters vs"),
+                 "replay mismatch: clusters.0.final_distance: recorded "),
+                (lambda clusters: clusters.pop(),
+                 "replay mismatch: clusters: 0 items recorded, 1 recomputed"),
                 (lambda clusters: clusters[0].update(
                     hit_count=clusters[0]["hit_count"] + 40),
-                 "replay mismatch: cluster 0 hit_count"),
-                (nudge("scattering_matrix"), "replay mismatch: cluster 0 scattering_matrix"),
-                (nudge("evolution_matrix"), "replay mismatch: cluster 0 evolution_matrix"),
+                 "replay mismatch: clusters.0.hit_count: recorded "),
+                (nudge("scattering_matrix"),
+                 "replay mismatch: clusters.0.scattering_matrix.entries.0.1.0: recorded "),
+                (nudge("evolution_matrix"),
+                 "replay mismatch: clusters.0.evolution_matrix.entries.0.1.0: recorded "),
                 (lambda clusters: clusters[-1].update(converged=not clusters[-1]["converged"]),
-                 "converged")]:
+                 ".converged: recorded ")]:
             report = json.loads(original)
             tamper(report["clusters"])
             out.write_text(json.dumps(report))
@@ -322,7 +325,7 @@ class TestApproximateCommand:
         capsys.readouterr()
         assert run(["replay", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "cluster 0 iterations" in err and "cluster 0 scattering_matrix" in err
+        assert "clusters.0.iterations" in err and "clusters.0.scattering_matrix" in err
         assert "evolution_matrix" not in err
 
     @pytest.mark.parametrize("index,value", [(0, float("nan")), (-1, float("nan")),
@@ -340,7 +343,8 @@ class TestApproximateCommand:
         capsys.readouterr()
         assert run(["replay", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: malformed report: ") and err.count("\n") == 1
+        assert err.startswith(f"replay mismatch: clusters.{index % 3}.final_distance: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("version", [1, 3, "1", True, None],
                              ids=["1", "3", "str", "bool", "missing"])
@@ -360,30 +364,106 @@ class TestApproximateCommand:
         assert err.startswith("error: malformed report: ") and err.count("\n") == 1
         assert "format_version" in err
 
-    def test_replay_builds_no_report_entries(self, tmp_path, capsys, qft3_file, order_file,
-                                             monkeypatch):
-        # replay compares the engine's clusters as they are: no mesh, bound
-        # or report encoding, and it decodes only the recorded matrices
+    def test_replay_compares_every_field(self, tmp_path, capsys, qft3_file, order_file,
+                                         monkeypatch):
+        # each leaf of a --trace report, changed alone in a seeded way, fails
+        # replay with a line that names it, except in the mesh (presence
+        # only), the config and the target (they steer the search); those
+        # may verify or fail, but no exception escapes
         out = tmp_path / "report.json"
         assert run(["approximate", qft3_file, "-m", "2", "-n", "2", "--ordering", order_file,
-                    "--starts", "6", "--seed", "3", "--max-iter", "400",
-                    "-o", str(out)]) == 0
-        recorded = len(json.loads(out.read_text())["clusters"])
-
-        def forbidden(*args):
-            raise AssertionError("replay built a report entry")
-
-        for module, name in [(cli, "decompose"), (cli, "fidelity_bound"),
-                             (serialize, "matrix_to_obj"), (serialize, "plan_to_obj")]:
-            monkeypatch.setattr(module, name, forbidden)
-        from_obj, decoded = serialize.matrix_from_obj, []
-        monkeypatch.setattr(serialize, "matrix_from_obj",
-                            lambda obj: decoded.append(1) or from_obj(obj))
+                    "--starts", "4", "--trace", "-o", str(out)]) == 0
+        original = json.loads(out.read_text())
         capsys.readouterr()
         assert run(["replay", str(out)]) == 0
         assert capsys.readouterr().err == \
-            f"replay verified: {recorded} cluster(s) match within 1e-09\n"
-        assert len(decoded) == 1 + 2 * recorded  # the target and each recorded pair
+            f"replay verified: {len(original['clusters'])} cluster(s) match within 1e-09\n"
+
+        def leaves(obj, path=()):
+            if not isinstance(obj, (dict, list)):
+                yield path
+            for key, value in obj.items() if isinstance(obj, dict) else \
+                    enumerate(obj) if isinstance(obj, list) else ():
+                yield from leaves(value, path + (key,))
+
+        def get(path, obj=original):
+            for key in path:
+                obj = obj[key]
+            return obj
+
+        def mutation(x):
+            options = [None, float("nan"), 1e308, repr(x), [], {}, "delete"]
+            if isinstance(x, bool):
+                options += [not x, int(x)]
+            elif isinstance(x, str):
+                options += [x + "_"]
+            else:
+                options += [x + 0.37, x + 7, float(x) if isinstance(x, int) else int(x)]
+            return options[rng.integers(len(options))]
+
+        def mutated(path, value):
+            report = json.loads(json.dumps(original))
+            if value == "delete":
+                del get(path[:-1], report)[path[-1]]
+            else:
+                get(path[:-1], report)[path[-1]] = value
+            return report
+
+        def replay(report):
+            out.write_text(json.dumps(report))
+            capsys.readouterr()
+            code = run(["replay", str(out)])
+            return code, capsys.readouterr().err
+
+        rng = np.random.default_rng(18)
+        paths = list(leaves(original))
+        steering = [p for p in paths if p[0] in ("config", "target")]
+        for i in rng.choice(len(steering), 12, replace=False):
+            code, err = replay(mutated(steering[i], mutation(get(steering[i]))))
+            assert code in (0, 1, 2, 3, 4)
+            assert all(line.startswith(("error: ", "replay ")) for line in err.splitlines())
+
+        # the search depends on config and target alone, so it is run once
+        clusters = cli._search(cli.RunConfig.from_obj(original["config"]),
+                               serialize.matrix_from_obj(original["target"]))
+        monkeypatch.setattr(cli, "_search", lambda config, target: clusters)
+        checked = [p for p in paths if p[0] == "clusters" and "circuit" not in p]
+        assert len(checked) > 400
+        for path in checked:
+            code, err = replay(mutated(path, value := mutation(get(path))))
+            named = ".".join(map(str, path[:-1] if value == "delete" else path))
+            assert code == 1 and f"replay mismatch: {named}: " in err, (path, value, err)
+            assert err.count("\n") <= cli.REPLAY_LINES + 1
+        for path in [p for p in paths if "circuit" in p]:  # checked for presence only
+            assert replay(mutated(path, mutation(get(path))))[0] in (0, 1)
+
+        # a change everywhere prints REPLAY_LINES lines, then counts the rest
+        report = json.loads(json.dumps(original))
+        records = [record for cluster in report["clusters"] for record in cluster["trace"]]
+        for record in records:
+            record["distance"] += 0.5
+        code, err = replay(report)
+        lines = err.splitlines()
+        assert code == 1 and len(lines) == cli.REPLAY_LINES + 1
+        assert lines[0].startswith("replay mismatch: clusters.0.trace.0.distance: ")
+        assert lines[-1] == f"replay mismatch: {len(records) - cli.REPLAY_LINES} more not shown"
+
+    def test_replay_tolerates_kernel_roundoff(self, tmp_path, capsys, qft3_file, order_file,
+                                              monkeypatch):
+        # a unit phase of 2e-15 on every step's exponential moves each float
+        # of a --trace report by roundoff alone, so it still replays unpatched
+        args = ["approximate", qft3_file, "-m", "2", "-n", "2", "--ordering", order_file,
+                "--starts", "20", "--seed", "7", "--trace", "-o"]
+        plain, patched = tmp_path / "plain.json", tmp_path / "patched.json"
+        assert run(args + [str(plain)]) == 0
+        exp = approx.matrix_exp
+        monkeypatch.setattr(approx, "matrix_exp", lambda A: exp(A) * np.exp(2e-15j))
+        assert run(args + [str(patched)]) == 0
+        monkeypatch.undo()
+        assert plain.read_bytes() != patched.read_bytes()
+        capsys.readouterr()
+        assert run(["replay", str(patched)]) == 0
+        assert capsys.readouterr().err.startswith("replay verified: ")
 
 
 CONFIG = {"m": 2, "n": 2, "ordering": "lex_desc", "tol": 1e-10, "max_iter": 400,
@@ -407,14 +487,24 @@ CONFIG = {"m": 2, "n": 2, "ordering": "lex_desc", "tol": 1e-10, "max_iter": 400,
                          ("cluster_tol", "0.5")]],
     ("lift", {"dim": 2, "entries": [[[True, False], [False, False]],
                                     [[False, False], [True, False]]]}),
+    ("lift", {"dim": 2, "entries": [[[10 ** 400, 0], [0, 0]], [[0, 0], [1, 0]]]}),
+    *[("replay", {"format_version": 2, "config": {**CONFIG, key: 10 ** 400}, "clusters": [],
+                  "target": serialize.matrix_to_obj(np.eye(3))})
+      for key in ("tol", "cluster_tol")],
+    # raw text: json.dumps cannot nest this deep
+    ("replay", "[" * 200000 + "]" * 200000),
+    ("lift", '{"a": ' * 100000 + "0" + "}" * 100000),
+    ("approximate", "[" * 200000 + "]" * 200000),
 ], ids=["empty-config", "list-report", "no-target", "config-ordering-int",
         "target-dim-list", "ordering-file-int", "ordering-file-float",
         "config-m-float", "config-starts-bool", "config-max-iter-float",
         "config-tol-bool", "config-tol-str", "config-cluster-tol-bool",
-        "config-cluster-tol-str", "matrix-entries-bool"])
+        "config-cluster-tol-str", "matrix-entries-bool", "matrix-entries-huge-int",
+        "config-tol-huge-int", "config-cluster-tol-huge-int", "report-deep", "matrix-deep",
+        "ordering-file-deep"])
 def test_malformed_input_exits_1(tmp_path, capsys, qft3_file, command, content):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(content))
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
     if command == "replay":
         args = ["replay", str(path)]
     elif command == "lift":
