@@ -173,9 +173,8 @@ def _run(U, S, image_basis: ImageBasis, tol: float, max_iter: int) -> list[Appro
     prev_normal = np.full(k, math.inf)
     shifts = np.full(k, CAYLEY_SHIFT)  # each row's next first Cayley shift
     traces: list[list[IterationRecord]] = [[] for _ in range(k)]
-    final: list = [None] * k  # (scattering, evolution, converged) per start
-    step = 0
-    while True:
+    results: list[ApproxResult] = [None] * k
+    for step in range(max_iter + 1):
         v = principal_log(Ui.conj().swapaxes(-1, -2) @ U, shifts)
         v_T, v_N, coeffs = project(v, image_basis)
         d = distance(Ui, U)
@@ -199,15 +198,17 @@ def _run(U, S, image_basis: ImageBasis, tol: float, max_iter: int) -> list[Appro
                     f"previous normal norm {p_i:.12e}", step=step)
             traces[i].append(IterationRecord(step, d_i, t_i, n_i))
             if t_i < tol or step == max_iter:
-                final[i] = (S[r].copy(), Ui[r].copy(), t_i < tol)
+                results[i] = ApproxResult(
+                    evolution=Ui[r].copy(), scattering=S[r].copy(), final_distance=d_i,
+                    iterations=step, converged=t_i < tol, trace=traces[i])
             else:
                 go.append(r)
+        if not go:
+            return results
         if len(go) < len(rows):
             S, rows, normal, coeffs, v_T, shifts = (
                 a[go] for a in (S, rows, normal, coeffs, v_T, shifts))
         prev_normal = normal
-        if not go:
-            break
         h = np.einsum("ak,kij->aij", coeffs, image_basis.preimages)
         # both sides are zero off the support, and h's lift also past its
         # transition positions, the first entries of the support
@@ -224,16 +225,6 @@ def _run(U, S, image_basis: ImageBasis, tol: float, max_iter: int) -> list[Appro
         if (step + 1) % REUNITARIZE_EVERY == 0:
             S = polar_unitary(S)
         Ui = evolution_matrix(S, fb)
-        step += 1
-
-    return [ApproxResult(
-        evolution=U_i,
-        scattering=S_i,
-        final_distance=traces[i][-1].distance,
-        iterations=traces[i][-1].step,
-        converged=converged,
-        trace=traces[i],
-    ) for i, (S_i, U_i, converged) in enumerate(final)]
 
 
 def derive_seed(rng_seed: int, index: int) -> int:
@@ -260,10 +251,7 @@ def haar_random(m: int, rng_seed: int) -> np.ndarray:
     Z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     Q, R = np.linalg.qr(Z)
     d = np.diagonal(R)
-    mags = np.abs(d)
-    safe = np.where(mags == 0, 1.0, mags)
-    phase = np.where(mags == 0, 1.0 + 0j, d / safe)
-    return Q * phase
+    return Q * (d / np.abs(d))
 
 
 def multi_start(U, image_basis: ImageBasis, k: int,

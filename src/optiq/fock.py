@@ -72,8 +72,7 @@ class FockBasis:
 
     def __init__(self, m: int, n: int, states: Sequence[Sequence[int]],
                  ordering: str = "explicit"):
-        self.m = int(m)
-        self.n = int(n)
+        self.m, self.n = require_int(m), require_int(n)
         try:
             self.states = tuple(map(_occupations, states))
         except TypeError as exc:

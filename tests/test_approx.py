@@ -268,6 +268,8 @@ class TestHaarRandom:
         for m in (1, 2, 5):
             U = haar_random(m, 1234)
             assert np.linalg.norm(U.conj().T @ U - np.eye(m)) < 1e-10
+        with pytest.raises(ValueError):
+            haar_random(0, 1)
 
     def test_deterministic(self):
         assert np.array_equal(haar_random(4, 99), haar_random(4, 99))

@@ -46,6 +46,8 @@ class TestReconstruct:
                                     (0.0, 0.0)))
         with pytest.raises(ShapeError):
             reconstruct(CircuitPlan(2, (), (0.0,)))
+        with pytest.raises(ShapeError, match="mode count"):
+            reconstruct(CircuitPlan(0, (), ()))
 
 
 class TestDecompose:

@@ -470,31 +470,43 @@ CONFIG = {"m": 2, "n": 2, "ordering": "lex_desc", "tol": 1e-10, "max_iter": 400,
           "starts": 1, "rng_seed": 0, "cluster_tol": 1e-4}
 
 
-@pytest.mark.parametrize("command,content", [
-    ("replay", {"config": {}}),
-    ("replay", [1, 2]),
-    ("replay", {"config": CONFIG, "clusters": []}),
-    ("replay", {"config": {**CONFIG, "ordering": 5}, "clusters": [],
-                "target": serialize.matrix_to_obj(np.eye(3))}),
-    ("replay", {"config": CONFIG, "clusters": [],
-                "target": {**serialize.matrix_to_obj(np.eye(3)), "dim": [3]}}),
-    ("approximate", 5),
-    ("approximate", [[2.7, 0], [0, 2], [1, 1]]),
-    *[("replay", {"config": {**CONFIG, key: value}, "clusters": [],
-                  "target": serialize.matrix_to_obj(np.eye(3))})
-      for key, value in [("m", 2.9), ("starts", True), ("max_iter", 400.7),
-                         ("tol", True), ("tol", "1e-10"), ("cluster_tol", True),
-                         ("cluster_tol", "0.5")]],
+def replay_input(**fields) -> dict:
+    """A report with a valid version, config and target; ``fields`` replace them."""
+    return {"format_version": cli.REPORT_VERSION, "config": CONFIG, "clusters": [],
+            "target": serialize.matrix_to_obj(np.eye(3)), **fields}
+
+
+# each input exits 1 at the check it was written for, named by a substring
+@pytest.mark.parametrize("command,content,expected", [
+    ("replay", {"config": {}}, "malformed report: KeyError('format_version')"),
+    ("replay", [1, 2], "malformed report: TypeError"),
+    ("replay", {"format_version": cli.REPORT_VERSION, "config": CONFIG, "clusters": []},
+     "malformed report: KeyError('target')"),
+    ("replay", replay_input(config={**CONFIG, "ordering": 5}), "malformed state list"),
+    ("replay", replay_input(target={**serialize.matrix_to_obj(np.eye(3)), "dim": [3]}),
+     "declared dim must be an integer"),
+    ("approximate", 5, "malformed state list"),
+    ("approximate", [[2.7, 0], [0, 2], [1, 1]], "malformed state list"),
+    *[("replay", replay_input(config={**CONFIG, key: value}), expected)
+      for key, value, expected in [
+          ("m", 2.9, "malformed run configuration: TypeError"),
+          ("starts", True, "malformed run configuration: TypeError"),
+          ("max_iter", 400.7, "malformed run configuration: TypeError"),
+          ("tol", True, "tolerances must be numbers"),
+          ("tol", "1e-10", "tolerances must be numbers"),
+          ("cluster_tol", True, "tolerances must be numbers"),
+          ("cluster_tol", "0.5", "tolerances must be numbers")]],
     ("lift", {"dim": 2, "entries": [[[True, False], [False, False]],
-                                    [[False, False], [True, False]]]}),
-    ("lift", {"dim": 2, "entries": [[[10 ** 400, 0], [0, 0]], [[0, 0], [1, 0]]]}),
-    *[("replay", {"format_version": 2, "config": {**CONFIG, key: 10 ** 400}, "clusters": [],
-                  "target": serialize.matrix_to_obj(np.eye(3))})
-      for key in ("tol", "cluster_tol")],
+                                    [[False, False], [True, False]]]},
+     "malformed matrix entries: True is not a number"),
+    ("lift", {"dim": 2, "entries": [[[10 ** 400, 0], [0, 0]], [[0, 0], [1, 0]]]},
+     "malformed matrix entries: int too large"),
+    *[("replay", replay_input(config={**CONFIG, key: 10 ** 400}),
+       "malformed run configuration: OverflowError") for key in ("tol", "cluster_tol")],
     # raw text: json.dumps cannot nest this deep
-    ("replay", "[" * 200000 + "]" * 200000),
-    ("lift", '{"a": ' * 100000 + "0" + "}" * 100000),
-    ("approximate", "[" * 200000 + "]" * 200000),
+    ("replay", "[" * 200000 + "]" * 200000, "JSON nested too deeply"),
+    ("lift", '{"a": ' * 100000 + "0" + "}" * 100000, "JSON nested too deeply"),
+    ("approximate", "[" * 200000 + "]" * 200000, "JSON nested too deeply"),
 ], ids=["empty-config", "list-report", "no-target", "config-ordering-int",
         "target-dim-list", "ordering-file-int", "ordering-file-float",
         "config-m-float", "config-starts-bool", "config-max-iter-float",
@@ -502,7 +514,7 @@ CONFIG = {"m": 2, "n": 2, "ordering": "lex_desc", "tol": 1e-10, "max_iter": 400,
         "config-cluster-tol-str", "matrix-entries-bool", "matrix-entries-huge-int",
         "config-tol-huge-int", "config-cluster-tol-huge-int", "report-deep", "matrix-deep",
         "ordering-file-deep"])
-def test_malformed_input_exits_1(tmp_path, capsys, qft3_file, command, content):
+def test_malformed_input_exits_1(tmp_path, capsys, qft3_file, command, content, expected):
     path = tmp_path / "input.json"
     path.write_text(content if isinstance(content, str) else json.dumps(content))
     if command == "replay":
@@ -516,6 +528,7 @@ def test_malformed_input_exits_1(tmp_path, capsys, qft3_file, command, content):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert expected in err
 
 
 class TestLiftCommand:

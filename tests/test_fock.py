@@ -5,7 +5,7 @@ import pytest
 
 from optiq.errors import (DimensionOverflowError, InvalidOrderingError,
                           UnknownStateError)
-from optiq.fock import dimension, enumerate_basis
+from optiq.fock import FockBasis, dimension, enumerate_basis
 from optiq.homomorphism import evolution_matrix
 
 
@@ -28,6 +28,10 @@ def test_dimension_validates_input():
     with pytest.raises(ValueError):
         dimension(2, -1)
     assert dimension(2, 0) == 1  # vacuum only
+    with pytest.raises(ValueError):
+        enumerate_basis(0, 2)
+    with pytest.raises(ValueError):
+        enumerate_basis(2, 0)  # a basis needs a photon
 
 
 def test_dimension_large_values_are_exact():
@@ -77,6 +81,15 @@ def test_state_entries_are_checked_by_type():
     for state in [(True, True), (1.0, 1), ("1", 1)]:
         with pytest.raises(InvalidOrderingError):
             enumerate_basis(2, 2, ordering=[(2, 0), (0, 2), state])
+    # so are the mode and photon counts
+    for m, n, states in [(2.9, 2, [(2, 0), (1, 1), (0, 2)]), (True, 1, [(1,)])]:
+        with pytest.raises(TypeError):
+            FockBasis(m, n, states)
+    with pytest.raises(TypeError):
+        enumerate_basis(True, 2)
+    basis = FockBasis(np.int64(2), np.int8(2), [(2, 0), (1, 1), (0, 2)])
+    assert (basis.m, basis.n) == (2, 2) and {type(basis.m), type(basis.n)} == {int}
+    assert enumerate_basis(np.int64(3), np.int64(2)) == enumerate_basis(3, 2)
 
 
 def test_enumerate_dimension_cap():
@@ -131,3 +144,5 @@ def test_enumeration_is_deterministic():
 def test_basis_equality():
     assert enumerate_basis(2, 2) == enumerate_basis(2, 2)
     assert enumerate_basis(2, 2) != enumerate_basis(2, 2, ordering=[(2, 0), (0, 2), (1, 1)])
+    assert enumerate_basis(2, 2) != ((2, 0), (1, 1), (0, 2))  # not a basis
+    assert repr(enumerate_basis(2, 2)) == "FockBasis(m=2, n=2, M=3, ordering='lex_desc')"

@@ -377,6 +377,8 @@ class TestImageBasis:
             assert len(gens) == m * m
             for g in gens:
                 assert np.linalg.norm(g + g.conj().T) == 0.0
+        with pytest.raises(ValueError):
+            unitary_algebra_generators(0)
 
     def test_single_mode(self):
         basis = enumerate_basis(1, 3)
