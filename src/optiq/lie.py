@@ -25,7 +25,6 @@ of any size as on its own.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +76,7 @@ def _cayley_eigh(U, alpha):
     """Eigenpairs of H = i(s - U)(s + U)^{-1}, s = e^{i alpha}, from one LU
     solve and one ``eigh`` per matrix of the stack U; this is the Cayley
     transform of e^{-i alpha} U. ``alpha`` holds one shift per matrix."""
-    z = np.array([cmath.exp(1j * a) for a in alpha])[:, None, None]
+    z = np.exp(1j * alpha)[:, None, None]
     s = z * np.eye(U.shape[-1])
     return np.linalg.eigh(np.linalg.solve(s + U, 1j * (s - U)))
 
