@@ -41,7 +41,7 @@ class UnknownStateError(OptiqError):
 
 
 class RankDeficiencyError(OptiqError):
-    """Orthogonalization produced a negligible vector where none is allowed."""
+    """A Gram-Schmidt pivot or a singular value is negligible where none may be."""
 
 
 class NumericalInstabilityError(OptiqError):

@@ -14,7 +14,7 @@ pulled back to mode space exactly. :func:`project` and the engine's
 per-step witness read each element only on its :class:`ImageBasis`
 ``support``. :func:`principal_log` diagonalizes a unitary through one
 Hermitian ``eigh`` of a shifted Cayley transform, and :func:`polar_unitary`
-falls back to one ``eigh`` when an SVD fails: every kernel is numpy's.
+through one ``eigh`` of the Hermitian dilation: every kernel is numpy's.
 
 :func:`principal_log`, :func:`matrix_exp`, :func:`polar_unitary`,
 :func:`project` and :func:`distance` also take a stack (..., M, M) and act
@@ -38,7 +38,8 @@ from .validate import (as_complex_matrix, frobenius_norm, require_same_shape,
                        require_unitary)
 
 #: A Cholesky pivot (the norm a Gram-Schmidt vector keeps after
-#: orthogonalization) below this signals a rank-deficient lift.
+#: orthogonalization) below this signals a rank-deficient lift; a singular
+#: value at most this times the largest, a rank-deficient polar input.
 GRAM_SCHMIDT_DROP_TOL = 1e-8
 
 #: Projection coefficients are real by construction; larger imaginary parts
@@ -76,8 +77,7 @@ def _cayley_eigh(U, alpha):
     """Eigenpairs of H = i(s - U)(s + U)^{-1}, s = e^{i alpha}, from one LU
     solve and one ``eigh`` per matrix of the stack U; this is the Cayley
     transform of e^{-i alpha} U. ``alpha`` holds one shift per matrix."""
-    z = np.exp(1j * alpha)[:, None, None]
-    s = z * np.eye(U.shape[-1])
+    s = np.exp(1j * alpha)[:, None, None] * np.eye(U.shape[-1])
     return np.linalg.eigh(np.linalg.solve(s + U, 1j * (s - U)))
 
 
@@ -190,26 +190,25 @@ def matrix_exp(v) -> np.ndarray:
 
 
 def polar_unitary(A) -> np.ndarray:
-    """Closest unitary in Frobenius norm, or to each of a stack: the polar
-    factor W Vh of the SVD A = W diag(s) Vh. LAPACK's gesdd can fail to
-    converge on a finite, nearly unitary matrix; then each matrix of a stack
-    is factored alone, and one that fails again is factored through ``eigh``
-    of its Hermitian dilation [[0, A], [A†, 0]]. For full-rank A its m
-    largest eigenpairs are s_i and (w_i, v_i) / sqrt(2), up to a unitary
-    mixing within each repeated s_i, so with X their eigenvectors the polar
-    factor is 2 X[:m] X[m:]†."""
+    """Closest unitary in Frobenius norm, or to each of a stack, from one
+    ``eigh`` of the Hermitian dilation [[0, A], [A†, 0]] (Higham, *Functions
+    of Matrices*, ch. 8). With A = W diag(s) Vh, its m largest eigenpairs
+    are s_i and (w_i, v_i) / sqrt(2), up to a unitary mixing within each
+    repeated s_i, so with X their eigenvectors the polar factor W Vh is
+    2 X[:m] X[m:]†. It is unique only for full-rank A: an A whose smallest
+    singular value is at most GRAM_SCHMIDT_DROP_TOL times its largest
+    raises RankDeficiencyError, which names the first such of a stack."""
     A = as_complex_matrix(A, "polar input", stack=True)
-    try:
-        W, _, Vh = np.linalg.svd(A)
-    except np.linalg.LinAlgError:
-        if A.ndim > 2:
-            flat = A.reshape((-1,) + A.shape[-2:])
-            return np.reshape([polar_unitary(a) for a in flat], A.shape)
-        m = len(A)
-        Z = np.zeros_like(A)
-        X = np.linalg.eigh(np.block([[Z, A], [_dagger(A), Z]]))[1][:, m:]
-        W, Vh = 2 * X[:m], _dagger(X[m:])
-    return W @ Vh
+    m, Z = A.shape[-1], np.zeros_like(A)
+    s, X = np.linalg.eigh(np.block([[Z, A], [_dagger(A), Z]]))
+    # slices, not indices, so that m = 0 has nothing to check
+    bad = np.ravel(s[..., m:m + 1] <= GRAM_SCHMIDT_DROP_TOL * s[..., -1:])
+    if bad.any():
+        i = int(bad.argmax())
+        raise RankDeficiencyError(
+            f"polar input{'' if A.ndim == 2 else f' [{i}]'}: smallest singular value "
+            f"{s.reshape(-1, 2 * m)[i, m]:.3e} is at most {GRAM_SCHMIDT_DROP_TOL:g} times the largest")
+    return 2 * X[..., :m, m:] @ _dagger(X[..., m:, m:])
 
 
 def unitary_algebra_generators(m: int) -> list[np.ndarray]:

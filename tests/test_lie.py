@@ -301,34 +301,26 @@ def test_polar_unitary_stack_matches_each_matrix():
         assert np.array_equal(got[i], polar_unitary(A[i]))
 
 
-def test_polar_unitary_falls_back_to_gesvd(monkeypatch):
-    # gesdd can fail to converge on a finite, nearly unitary matrix; the
-    # fallback gives gesvd's polar factor to roundoff, also far from unitary
+def test_polar_unitary_matches_gesvd():
+    # gesvd's W Vh is the reference, near unitary and also far from it
     A = drifted_unitaries(np.random.default_rng(71), 6, 3)
-    want = [polar_unitary(a) for a in A]
     rng = np.random.default_rng(72)
     # singular values 0.7 to 1.3: full rank, 0.3 from unitary
     far = (haar(rng, 70) * np.linspace(0.7, 1.3, 70)) @ haar(rng, 70)
-    gesvd = []
-    for a in (A[1], far):
+    for a, P in [*zip(A, polar_unitary(A)), (far, polar_unitary(far))]:
         W, _, Vh = scipy.linalg.svd(a, lapack_driver="gesvd")
-        gesvd.append(W @ Vh)
-    svd = np.linalg.svd
-
-    def gesdd_fails(a, *args, **kwargs):
-        if a.ndim > 2 or np.array_equal(a, A[1]) or a.shape == far.shape:
-            raise np.linalg.LinAlgError("SVD did not converge")
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", gesdd_fails)
-    # on a stack, only the failing member takes the fallback
-    got = polar_unitary(A)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
-    assert np.array_equal(got[1], polar_unitary(A[1]))
-    assert distance(got[1], want[1]) < 1e-13
-    for P, W_Vh in [(got[1], gesvd[0]), (polar_unitary(far), gesvd[1])]:
-        assert np.max(np.abs(P - W_Vh)) < 1e-12
+        assert np.max(np.abs(P - W @ Vh)) < 1e-12
         assert np.linalg.norm(P.conj().T @ P - np.eye(len(P))) < 1e-13
+
+
+def test_polar_unitary_rejects_rank_deficient_input():
+    # the polar factor of a singular matrix is not unique
+    rank_one = np.outer([1, 2, 3], [1, 1j, 0])
+    singular = drifted_unitaries(np.random.default_rng(73), 3, 3)
+    singular[1] = np.diag([1.0, 1.0, 1e-9])
+    for A, where in [(np.zeros((3, 3)), ":"), (rank_one, ":"), (singular, r" \[1\]:")]:
+        with pytest.raises(RankDeficiencyError, match=r"^polar input" + where):
+            polar_unitary(A)
 
 
 def dense_build(basis):
