@@ -4,7 +4,8 @@ import pytest
 import golden
 from conftest import haar
 from optiq.circuit import CircuitPlan, OpticalElement, decompose, reconstruct
-from optiq.errors import ShapeError, UnitarityError
+from optiq import circuit
+from optiq.errors import InternalConsistencyError, ShapeError, UnitarityError
 from optiq.lie import distance
 
 
@@ -105,6 +106,12 @@ class TestDecompose:
     def test_rejects_non_unitary(self):
         with pytest.raises(UnitarityError):
             decompose(np.eye(3) * 1.2)
+
+    def test_unfinished_sweep_raises(self, monkeypatch):
+        # a skip threshold above every entry leaves the input undiagonalized
+        monkeypatch.setattr(circuit, "NULL_SKIP_TOL", 10)
+        with pytest.raises(InternalConsistencyError, match="off-diagonal residual"):
+            decompose(haar(np.random.default_rng(43), 4))
 
     def test_single_mode(self):
         plan = decompose(np.array([[np.exp(0.4j)]]))

@@ -610,7 +610,7 @@ class TestDecomposeCommand:
         from optiq.circuit import reconstruct
         assert np.max(np.abs(reconstruct(plan) - golden.SA3)) < 1e-4
 
-    def test_random_round_trip_checked_in_process(self, tmp_path):
+    def test_random_round_trip_checked_in_process(self, tmp_path, capsys, monkeypatch):
         src = tmp_path / "s.json"
         out = tmp_path / "plan.json"
         assert run(["sample", "-m", "5", "--seed", "77", "-o", str(src)]) == 0
@@ -619,6 +619,13 @@ class TestDecomposeCommand:
         from optiq.circuit import reconstruct
         S = serialize.load_matrix(src)
         assert np.linalg.norm(reconstruct(plan) - S) < 1e-9
+        # a plan that does not reconstruct its input is reported, not written
+        monkeypatch.setattr(cli, "reconstruct", lambda plan: reconstruct(plan) * np.exp(1e-6j))
+        bad = tmp_path / "bad.json"
+        capsys.readouterr()
+        assert run(["decompose", str(src), "-o", str(bad)]) == 4
+        assert capsys.readouterr().err.startswith("error: plan reconstruction differs from input by")
+        assert not bad.exists()
 
 
 def test_stdout_output(capsys):

@@ -194,7 +194,7 @@ class TestCanonicalWriter:
         assert path.read_text(encoding="utf-8") == serialize.dumps_canonical(self.OBJ)
         assert list(tmp_path.iterdir()) == [path]
 
-    def test_errors_name_the_destination(self, tmp_path):
+    def test_errors_name_the_destination(self, tmp_path, monkeypatch):
         missing = tmp_path / "missing" / "obj.json"
         with pytest.raises(FileNotFoundError) as exc:
             serialize.save_json(missing, [1])
@@ -203,18 +203,35 @@ class TestCanonicalWriter:
             serialize.save_json(tmp_path, [1])
         assert exc.value.filename == str(tmp_path)
         assert list(tmp_path.iterdir()) == []
+        # a failed rename names the destination, not the temporary file,
+        # and leaves the earlier bytes and no temporary file behind
+        path = tmp_path / "obj.json"
+        path.write_bytes(b"earlier\n")
+
+        def failing(src, dst):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), str(src), None, str(dst))
+
+        monkeypatch.setattr(serialize.os, "replace", failing)
+        with pytest.raises(OSError) as exc:
+            serialize.save_json(path, [1])
+        assert (exc.value.errno, exc.value.filename) == (errno.EXDEV, str(path))
+        assert path.read_bytes() == b"earlier\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_other_destinations_fail_as_a_plain_write_does(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "dir").mkdir()
-        for dest in ["dir", "dir/", ".", "", "missing/obj.json"]:
+        (tmp_path / "f").write_bytes(b"earlier\n")
+        # "f/x": lstat fails with an error other than a missing name
+        for dest in ["dir", "dir/", ".", "", "missing/obj.json", "f/x"]:
             with pytest.raises(OSError) as plain:
                 Path(dest).write_text("[1]\n", encoding="utf-8")
             with pytest.raises(OSError) as ours:
                 serialize.save_json(dest, [1])
             assert (type(ours.value), str(ours.value)) == (type(plain.value), str(plain.value))
-        assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "f"]
         assert list((tmp_path / "dir").iterdir()) == []
+        assert (tmp_path / "f").read_bytes() == b"earlier\n"
 
     def test_trailing_separator_fails_as_a_plain_open_does(self, tmp_path, monkeypatch,
                                                            capsys):
