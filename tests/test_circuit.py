@@ -3,8 +3,8 @@ import pytest
 
 import golden
 from conftest import haar
-from optiq.circuit import CircuitPlan, OpticalElement, decompose, reconstruct
 from optiq import circuit
+from optiq.circuit import CircuitPlan, OpticalElement, decompose, reconstruct
 from optiq.errors import InternalConsistencyError, ShapeError, UnitarityError
 from optiq.lie import distance
 
