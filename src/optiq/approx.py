@@ -277,19 +277,23 @@ def multi_start(U, image_basis: ImageBasis, k: int,
     m, M = image_basis.basis.m, len(image_basis.basis)
     chunk = max(1, STACK_BYTES // (16 * M * M))
     clusters: list[list] = []  # [representative, hit_count]
+    reps = np.empty((1, M, M), dtype=complex)  # their evolutions; doubles when full
     for first in range(0, k, chunk):
         starts = [np.eye(m, dtype=complex) if i == 0 else
                   haar_random(m, derive_seed(rng_seed, i))
                   for i in range(first, min(k, first + chunk))]
         for res in _iterate(U, starts, image_basis, tol, max_iter):
-            reps = np.array([entry[0].evolution for entry in clusters])
-            near = np.flatnonzero(distance(reps, res.evolution) < cluster_tol) if clusters else []
+            n = len(clusters)
+            near = np.flatnonzero(distance(reps[:n], res.evolution) < cluster_tol) if n else []
             if len(near):
                 entry = clusters[near[0]]
                 entry[1] += 1
                 if res.final_distance < entry[0].final_distance - TIE_TOL:
                     entry[0] = res
+                    reps[near[0]] = res.evolution
             else:
+                reps = reps if n < len(reps) else np.concatenate([reps, np.empty_like(reps)])
+                reps[n] = res.evolution
                 clusters.append([res, 1])
     return [tuple(entry) for entry in
             sorted(clusters, key=lambda entry: round(entry[0].final_distance / TIE_TOL))]

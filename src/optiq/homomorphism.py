@@ -10,9 +10,10 @@ The algebra-level lift is second quantization, sum_{jk} A[j,k] a†_j a_k.
 Both lifts are computed from tables of creation operators instead: the
 group lift photon by photon from U a†_c U† = sum_j S[j,c] a†_j (Scheel,
 quant-ph/0406127), the algebra lift from a†_j a_k = sum_r a†_j |r><r| a_k.
-The tables are built once per basis and kept on it, so a lift costs only
-its arithmetic. Both lift a stack (..., m, m) of matrices as well as a
-single one.
+The group lift gathers each photon level in column blocks of bounded
+bytes, with the products and the order of sums of that recursion. The
+tables are built once per basis and kept on it, so a lift costs only its
+arithmetic. Both lift a stack (..., m, m) of matrices as well as one.
 
 A generator's lift is nonzero only at the P = M + m(m-1) dim(m, n-1)
 transition positions (the a†_j a_k, j != k, and the diagonal), 770 of the
@@ -30,22 +31,30 @@ import numpy as np
 from .errors import ShapeError
 from .fock import FockBasis, _compositions, enumerate_basis
 
+#: evolution_matrix's column blocks keep each temporary within about this many bytes.
+LIFT_BLOCK_BYTES = 2**20
 
-def _level(basis: FockBasis) -> tuple[np.ndarray, ...]:
-    """(up, w, c, src, div) for the states of ``basis``:
+
+def _level(basis: FockBasis) -> tuple:
+    """(up, w, c, src, div, pos, terms) for the states of ``basis``:
     a†_j |r> = w[r, j] |up[r, j]> for the lex-ordered states r with one
-    photon fewer (w = sqrt(r_j + 1)), and each state q's first occupied
-    mode c[q], state src[q] = q - e_c and div[q] = sqrt(q_c)."""
+    photon fewer (w = sqrt(r_j + 1)). terms[t] is (j, r, w[r, j]), r = q - e_j,
+    for the t-th occupied mode j of each state q that has one, in the lift's
+    rows pos[q] by descending mode count; (c, src, div) is terms[0] per q."""
     m = basis.m
     lower = np.array(list(_compositions(m, basis.n - 1)))
     raised = lower[:, None, :] + np.eye(m, dtype=int)
     up = np.reshape([basis.index_of(s) for s in raised.reshape(-1, m).tolist()], (-1, m))
-    occ = np.array(basis.states)
-    c = np.argmax(occ > 0, axis=1)
-    hit = c[up] == np.arange(m)  # up[r, j] = q with j = c_q, once per q
-    src = np.empty(len(basis), dtype=int)
-    src[up[hit]] = np.nonzero(hit)[0]
-    return up, np.sqrt(lower + 1.0), c, src, np.sqrt(occ[np.arange(len(basis)), c])
+    w = np.sqrt(lower + 1.0)
+    count = (np.array(basis.states) > 0).sum(axis=1)
+    pos = np.argsort(np.argsort(-count, kind="stable"))
+    # mode j of q = r + e_j is its t-th, t the modes r occupies below j
+    t, row = np.cumsum(lower > 0, axis=1) - (lower > 0), pos[up]
+    j, r, wj = (np.zeros((count.max(), len(basis)), dtype=d) for d in (int, int, float))
+    j[t, row], r[t, row], wj[t, row] = np.arange(m), np.arange(len(lower))[:, None], w
+    # weight 0 marks the rows past the states that have a t-th mode
+    terms = tuple((j[i, :k], r[i, :k], wj[i, :k]) for i, k in enumerate(np.count_nonzero(wj, 1)))
+    return (up, w, *(a[pos] for a in terms[0]), pos, terms)
 
 
 def _levels(basis: FockBasis) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -76,19 +85,26 @@ def evolution_matrix(S, basis: FockBasis) -> np.ndarray:
     Built one photon at a time from the 1 x 1 vacuum lift: column q of the
     k-photon lift is sum_j S[j,c] a†_j applied to column q - e_c of the
     (k-1)-photon lift, divided by sqrt(q_c), with c the first occupied mode
-    of q. The lift is a group homomorphism and preserves unitarity. Each
-    matrix of a stack is lifted by the same elementwise arithmetic as alone.
+    of q: entry (p, q) sums w S[j,c] times entry (p - e_j, q - e_c) over
+    p's modes j in ascending order, onto zero, in column blocks of about
+    LIFT_BLOCK_BYTES. The lift is a group homomorphism and preserves
+    unitarity; a stack's matrices get the same elementwise arithmetic as alone.
     """
     S = np.asarray(S, dtype=complex)
     if S.shape[-2:] != (basis.m, basis.m):
         raise ShapeError(
             f"scattering matrix shape {S.shape} does not match basis with m={basis.m}")
     U = np.ones(S.shape[:-2] + (1, 1), dtype=complex)
-    for up, w, c, src, div in _levels(basis):
-        prev = U[..., src]
-        U = np.zeros(S.shape[:-2] + (len(c), len(c)), dtype=complex)
-        for j in range(basis.m):  # the rows up[:, j] are distinct
-            U[..., up[:, j], :] += w[:, j, None] * S[..., None, j, c] * prev
+    for _, _, c, src, div, pos, terms in _levels(basis):
+        M = len(c)
+        prev, U = U, np.empty(S.shape[:-2] + (M, M), dtype=complex)
+        width = max(1, LIFT_BLOCK_BYTES // (16 * M * max(1, S.size // basis.m**2)))
+        for cols in (slice(b, b + width) for b in range(0, M, width)):
+            S_c, prev_c = S[..., c[cols]], prev[..., src[cols]]
+            acc = np.zeros(S_c.shape[:-2] + (M, S_c.shape[-1]), dtype=complex)
+            for j, r, wj in terms:
+                acc[..., :len(j), :] += wj[:, None] * S_c[..., j, :] * prev_c[..., r, :]
+            U[..., cols] = acc[..., pos, :]
         # dividing last keeps e.g. the identity lift exactly the identity
         U /= div
     return U

@@ -96,7 +96,8 @@ def _cayley_pass(U, alpha):
 
 def _eigen_angles(U, Q):
     """Angles of diag(Q† U Q) in (-pi, pi]; an exact -1 maps to +pi."""
-    z = (Q.conj() * (U @ Q)).sum(axis=-2)
+    UQ = U @ Q
+    z = np.multiply(Q.conj(), UQ, out=UQ).sum(axis=-2)
     # np.angle gives -pi for imaginary part -0.0
     return np.where((z.imag == 0) & (z.real < 0), np.pi, np.angle(z))
 
@@ -175,8 +176,10 @@ def principal_log(U, shifts=None) -> np.ndarray:
         _, Q_wide = _cayley_eigh(U_wide, _mid_gap(theta[wide]))
         Q[wide], theta[wide] = Q_wide, _eigen_angles(U_wide, Q_wide)
     shifts[...] = _mid_gap(theta).reshape(shifts.shape)
-    v = (Q * (1j * theta)[:, None, :]) @ _dagger(Q)
-    return ((v - _dagger(v)) / 2.0).reshape(U.shape)
+    Q_h = _dagger(Q)
+    v = np.multiply(Q, (1j * theta)[:, None, :], out=Q) @ Q_h
+    v -= _dagger(v)
+    return np.divide(v, 2.0, out=v).reshape(U.shape)
 
 
 def matrix_exp(v) -> np.ndarray:

@@ -56,7 +56,9 @@ def require_same_shape(A: np.ndarray, B: np.ndarray, name: str = "operands") -> 
 
 def unitarity_residual(A: np.ndarray):
     """Frobenius norm of A†A - Id, per matrix of a stack."""
-    return frobenius_norm(A.conj().swapaxes(-1, -2) @ A - np.eye(A.shape[-1]))
+    P = A.conj().swapaxes(-1, -2) @ A
+    np.einsum("...ii->...i", P)[...] -= 1
+    return frobenius_norm(P)
 
 
 def require_unitary(A, name: str = "matrix", tol: float = UNITARITY_TOL, *,

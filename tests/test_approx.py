@@ -15,6 +15,7 @@ from optiq.errors import (InternalConsistencyError, NumericalInstabilityError,
 from optiq.fock import enumerate_basis
 from optiq.homomorphism import evolution_matrix
 from optiq.lie import build_image_basis, distance, principal_log
+from reference_engine import reference_image_basis, reference_run
 from test_lie import off_pattern, record_cayley_passes
 
 
@@ -261,6 +262,21 @@ class TestApproximate:
         # a stack of targets is not a target, even when each is unitary
         with pytest.raises(ShapeError, match=r"got shape \(2, 3, 3\)"):
             approximate(np.stack([np.eye(3)] * 2), np.eye(2), image22)
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 3), (5, 4)])
+    def test_follows_the_reference_engine(self, m, n):
+        # far past the M = 3 goldens: every kernel of the step at once
+        basis = enumerate_basis(m, n)
+        elements, image = reference_image_basis(basis)
+        rng = np.random.default_rng(10 * m + n)
+        U, start = haar(rng, len(basis)), haar(rng, m)
+        steps = 50
+        res = approximate(U, start, image, tol=1e-300, max_iter=steps)
+        want, last = reference_run(U, start, basis, elements, steps)
+        got = [(r.distance, r.tangent_norm, r.normal_norm) for r in res.trace]
+        assert res.iterations == steps
+        assert np.abs(np.array(got) - want).max() < 1e-12
+        assert np.abs(res.evolution - last).max() < 1e-12
 
 
 class TestHaarRandom:
