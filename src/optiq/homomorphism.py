@@ -57,7 +57,7 @@ def _level(basis: FockBasis) -> tuple:
     return (up, w, *(a[pos] for a in terms[0]), pos, terms)
 
 
-def _levels(basis: FockBasis) -> tuple[tuple[np.ndarray, ...], ...]:
+def _levels(basis: FockBasis) -> tuple[tuple, ...]:
     """The tables of photon levels 1, ..., n, the last in ``basis``'s own
     order; built on first use and kept on the (immutable) basis."""
     if "levels" not in basis._lift_tables:

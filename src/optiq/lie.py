@@ -176,7 +176,7 @@ def principal_log(U, shifts=None) -> np.ndarray:
         _, Q_wide = _cayley_eigh(U_wide, _mid_gap(theta[wide]))
         Q[wide], theta[wide] = Q_wide, _eigen_angles(U_wide, Q_wide)
     shifts[...] = _mid_gap(theta).reshape(shifts.shape)
-    Q_h = _dagger(Q)
+    Q_h = _dagger(Q)  # a copy, taken before Q is scaled in place
     v = np.multiply(Q, (1j * theta)[:, None, :], out=Q) @ Q_h
     v -= _dagger(v)
     return np.divide(v, 2.0, out=v).reshape(U.shape)

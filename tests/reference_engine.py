@@ -1,12 +1,14 @@
-"""A reference for the iteration engine, built only from the tests' oracles.
+"""A reference for the iteration engine, its loop built only from the tests'
+oracles.
 
 It takes the paper's step in the photon space as plainly as it can be
 written: the lift of the start by permanents, the principal logarithm from
 the Schur form, the projection as inner products with dense orthonormal
 elements, U_{i+1} = U_i expm(v_T) with scipy's ``expm``, and no
-re-unitarization. ``approximate`` steps in mode space instead, through the
-package's own lift, log, projection and exponential, so the two agree only
-to roundoff when every one of those kernels is right.
+re-unitarization. The elements are a dense Gram-Schmidt of the lifted
+generators, and ``approximate`` runs on the same basis. It steps in mode
+space instead, through the package's own lift, log, projection and
+exponential, so the two agree to roundoff only when all of those are right.
 """
 
 import numpy as np
