@@ -284,7 +284,7 @@ def multi_start(U, image_basis: ImageBasis, k: int,
                   for i in range(first, min(k, first + chunk))]
         for res in _iterate(U, starts, image_basis, tol, max_iter):
             n = len(clusters)
-            near = np.flatnonzero(distance(reps[:n], res.evolution) < cluster_tol) if n else []
+            near = np.flatnonzero(distance(reps[:n], res.evolution) < cluster_tol)
             if len(near):
                 entry = clusters[near[0]]
                 entry[1] += 1

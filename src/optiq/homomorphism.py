@@ -134,7 +134,7 @@ def transition_entries(A, basis: FockBasis) -> np.ndarray:
     _, occ, j, k, ww = _transitions(basis)
     off = A[..., None, j, k] * ww
     diag = (np.diagonal(A, axis1=-2, axis2=-1)[..., None, :] * occ).sum(-1)
-    return np.concatenate([off.reshape(A.shape[:-2] + (-1,)), diag], axis=-1)
+    return np.concatenate([off.reshape(A.shape[:-2] + (ww.size,)), diag], axis=-1)
 
 
 def second_quantize(A, basis: FockBasis) -> np.ndarray:

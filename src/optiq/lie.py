@@ -336,7 +336,7 @@ def project(v, image_basis: ImageBasis):
         raise ShapeError(
             f"cannot project shape {v.shape} onto a basis of shape {(M, M)}")
     E, support = image_basis.values, image_basis.support
-    on = v.reshape(v.shape[:-2] + (-1,))[..., support]
+    on = v.reshape(v.shape[:-2] + (M * M,))[..., support]
     # conj(E conj(v)) is tr(e† v) without a conjugated copy of the basis;
     # one matvec per matrix, never one GEMM whose rows depend on the stack
     t = (E @ on.conj()[..., None])[..., 0].conj()
@@ -349,7 +349,7 @@ def project(v, image_basis: ImageBasis):
     coeffs = np.ascontiguousarray(t.real)
     v_T = np.zeros(v.shape, dtype=complex)
     # real coefficients times the (re, im) float view: one real matvec
-    v_T.reshape(on.shape[:-1] + (-1,))[..., support] = \
+    v_T.reshape(on.shape[:-1] + (M * M,))[..., support] = \
         (coeffs[..., None, :] @ E.view(float))[..., 0, :].view(complex)
     v_N = v - v_T
     return v_T, v_N, coeffs

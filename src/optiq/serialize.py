@@ -9,14 +9,16 @@ line, whitespace-separated complex literals such as ``0.5``, ``-2i`` or
 ``0.3-0.7i`` (``j`` works too). All writers emit canonical JSON: byte for
 byte ``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, which the
 tests take as the oracle, except that a cycle raises RecursionError, not
-ValueError (no caller builds one). A zero-argument callable in the data
-stands for the tree it returns, built when the writer reaches it;
-:func:`dump_canonical` writes each such tree, with the text before it, in
-one piece, the bytes :func:`dumps_canonical` returns. :func:`save_json`
-replaces a regular file whole: it writes and syncs a sibling temporary file
-and renames it over the destination, so a write that fails leaves an
-earlier file untouched. Other destinations, such as /dev/null or a FIFO,
-are written in place.
+ValueError (no caller builds one). json spells every scalar and key and
+raises every type error; the writer only batches lists of numbers: one join
+per list, one template per list of same-keyed dicts or equal-length lists. A
+zero-argument callable in the data stands for the tree it returns, built
+when the writer reaches it; :func:`dump_canonical` writes each such tree,
+with the text before it, in one piece, the bytes :func:`dumps_canonical`
+returns. :func:`save_json` replaces a regular file whole: it writes and
+syncs a sibling temporary file and renames it over the destination, so a
+write that fails leaves an earlier file untouched. Other destinations, such
+as /dev/null or a FIFO, are written in place.
 Both matrix readers reject NaN and infinite entries; the JSON reader also
 rejects entries that are not numbers, booleans included.
 """
@@ -37,40 +39,23 @@ from .errors import OptiqError, ShapeError
 FORMAT_VERSION = 1
 
 
-_LITERALS = {None: "null", True: "true", False: "false",
-             "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _scalar(x):
-    """The JSON text of a string, number, bool or None; None for anything else."""
-    if isinstance(x, str):
-        return _string(x)
-    if x is None or x is True or x is False:
-        return _LITERALS[x]
-    if isinstance(x, (int, float)):
-        text = int.__repr__(x) if isinstance(x, int) else float.__repr__(x)
-        return _LITERALS.get(text, text)
-    return None
-
-
 def _texts(values):
-    """The JSON texts of values if they are all scalars, else None."""
+    """The JSON texts (reprs) of values if all are exact ints or finite floats, else None."""
     exact = {*map(type, values)} <= {int, float}
     if exact and "n" not in "".join(texts := list(map(repr, values))):
         return texts  # the repr of an int or a finite float holds no n
-    return None if None in (texts := list(map(_scalar, values))) else texts
+    return None
 
 
 def _key(k) -> str:
-    if (text := k if isinstance(k, str) else _scalar(k)) is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-    return _string(text) + ": "
+    """A dict key and its colon as json spells them, or json's TypeError."""
+    return _string(k) + ": " if isinstance(k, str) else json.dumps({k: 0})[1:-2]
 
 
 def _items(items, nl: str):
     """The items of a non-empty list, joined at the indent that the newline nl
-    opens: one join of scalars, or one % template repeated for equal-length
-    lists or same-keyed dicts of scalars; None for anything else."""
+    opens: one join of numbers, or one % template repeated for equal-length
+    lists or same-keyed dicts of numbers; None for anything else."""
     if (texts := _texts(items)) is not None:
         return ("," + nl).join(texts)
     first, inner, fields = items[0], nl + "  ", None
@@ -91,11 +76,10 @@ def _items(items, nl: str):
 def _encode(o, nl: str, out: list, f=None) -> None:
     """Append the canonical text of o, at the indent that the newline nl
     opens, to out. A zero-argument callable stands for the tree it returns,
-    encoded whole; after each such tree, out is written to f, if given."""
+    encoded whole; after each such tree, out is written to f, if given.
+    json spells every other leaf and raises its TypeError for the rest."""
     inner, is_dict = nl + "  ", isinstance(o, dict)
-    if (text := _scalar(o)) is not None:
-        out.append(text)
-    elif isinstance(o, (list, tuple)) and o and (body := _items(o, inner)) is not None:
+    if isinstance(o, (list, tuple)) and o and (body := _items(o, inner)) is not None:
         out.append("[" + inner + body + nl + "]")
     elif is_dict or isinstance(o, (list, tuple)):
         brackets = "{}" if is_dict else "[]"
@@ -109,7 +93,7 @@ def _encode(o, nl: str, out: list, f=None) -> None:
             f.write("".join(out))
             out.clear()
     else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        out.append(json.dumps(o))
 
 
 def dump_canonical(obj, f) -> None:

@@ -35,7 +35,7 @@ def frobenius_norm(A):
     stack gives every matrix the bits it would get alone, whatever its size.
     """
     A = np.ascontiguousarray(A, dtype=complex)
-    rows = A.reshape(A.shape[:-2] + (1, -1))
+    rows = A.reshape(A.shape[:-2] + (1, A.shape[-2] * A.shape[-1]))
     re, im = rows.real, rows.imag
     norms = np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
     return float(norms) if A.ndim == 2 else norms

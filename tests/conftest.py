@@ -1,16 +1,22 @@
-import math
+import os
 
-import numpy as np
-import pytest
-import scipy.linalg
+# one BLAS thread, as CI and the benchmark run, unless the shell sets it;
+# set before numpy loads OpenBLAS, which reads it once
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import golden
-from optiq import approx
-from optiq.errors import ShapeError
-from optiq.fock import enumerate_basis
-from optiq.homomorphism import transition_positions
-from optiq.lie import ImageBasis, build_image_basis
-from optiq.validate import as_complex_matrix, require_same_shape
+import math  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+import scipy.linalg  # noqa: E402
+
+import golden  # noqa: E402
+from optiq import approx  # noqa: E402
+from optiq.errors import ShapeError  # noqa: E402
+from optiq.fock import enumerate_basis  # noqa: E402
+from optiq.homomorphism import transition_positions  # noqa: E402
+from optiq.lie import ImageBasis, build_image_basis  # noqa: E402
+from optiq.validate import as_complex_matrix, require_same_shape  # noqa: E402
 
 
 @pytest.fixture(scope="session")

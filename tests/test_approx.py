@@ -27,6 +27,11 @@ def same_result(a, b):
             and (a.iterations, a.converged) == (b.iterations, b.converged))
 
 
+def records(res):
+    """(distance, tangent norm, normal norm) of each iterate of a run."""
+    return np.array([(r.distance, r.tangent_norm, r.normal_norm) for r in res.trace])
+
+
 def raised(run):
     """(class, step, message) of the OptiqError that run() raises, or None."""
     try:
@@ -277,6 +282,37 @@ class TestApproximate:
         assert res.iterations == steps
         assert np.abs(np.array(got) - want).max() < 1e-12
         assert np.abs(res.evolution - last).max() < 1e-12
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 3), (5, 4)])
+    def test_two_sided_equivariance(self, m, n):
+        # lift(A) lift(S) lift(B) = lift(A S B), and the log, the projection
+        # and the metric commute with both sides: the run only moves rigidly
+        basis = enumerate_basis(m, n)
+        image = build_image_basis(basis)
+        rng = np.random.default_rng(20 * m + n)
+        U, start, A, B = haar(rng, len(basis)), haar(rng, m), haar(rng, m), haar(rng, m)
+        res = approximate(U, start, image, tol=1e-3, max_iter=50)
+        moved = approximate(evolution_matrix(A, basis) @ U @ evolution_matrix(B, basis),
+                            A @ start @ B, image, tol=1e-3, max_iter=50)
+        assert moved.iterations == res.iterations
+        assert np.abs(records(moved) - records(res)).max() < 1e-10
+        assert np.abs(moved.scattering - A @ res.scattering @ B).max() < 1e-10
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 3), (5, 4)])
+    def test_basis_permutation_equivariance(self, m, n):
+        # the Fock states' order is a coordinate choice: permuting it
+        # permutes the iterates and changes no distance
+        basis = enumerate_basis(m, n)
+        rng = np.random.default_rng(30 * m + n)
+        order = rng.permutation(len(basis))
+        permuted = enumerate_basis(m, n, ordering=[basis.states[i] for i in order])
+        U, start = haar(rng, len(basis)), haar(rng, m)
+        res = approximate(U, start, build_image_basis(basis), tol=1e-3, max_iter=50)
+        moved = approximate(U[np.ix_(order, order)], start, build_image_basis(permuted),
+                            tol=1e-3, max_iter=50)
+        assert moved.iterations == res.iterations
+        assert np.abs(records(moved) - records(res)).max() < 1e-10
+        assert np.abs(moved.evolution - res.evolution[np.ix_(order, order)]).max() < 1e-10
 
 
 class TestHaarRandom:

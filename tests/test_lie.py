@@ -10,10 +10,11 @@ from conftest import dense_image_basis, haar, inner, schur_log
 from optiq import lie
 from optiq.errors import InternalConsistencyError, RankDeficiencyError, ShapeError
 from optiq.fock import dimension, enumerate_basis
-from optiq.homomorphism import evolution_matrix, second_quantize
+from optiq.homomorphism import evolution_matrix, second_quantize, transition_entries
 from optiq.lie import (_orthonormalize, build_image_basis, distance,
                        matrix_exp, polar_unitary, principal_log, project,
                        unitary_algebra_generators)
+from optiq.validate import require_unitary
 
 
 def random_anti_hermitian(rng, d):
@@ -321,6 +322,27 @@ def test_polar_unitary_rejects_rank_deficient_input():
     for A, where in [(np.zeros((3, 3)), ":"), (rank_one, ":"), (singular, r" \[1\]:")]:
         with pytest.raises(RankDeficiencyError, match=r"^polar input" + where):
             polar_unitary(A)
+
+
+@pytest.mark.parametrize("kernel,shape", [
+    pytest.param(lambda S, V, image: distance(V, np.eye(3)), (0,), id="distance"),
+    pytest.param(lambda S, V, image: require_unitary(V, "stack", stack=True), (0, 3, 3),
+                 id="require_unitary"),
+    pytest.param(lambda S, V, image: principal_log(V), (0, 3, 3), id="principal_log"),
+    pytest.param(lambda S, V, image: matrix_exp(V), (0, 3, 3), id="matrix_exp"),
+    pytest.param(lambda S, V, image: polar_unitary(V), (0, 3, 3), id="polar_unitary"),
+    pytest.param(lambda S, V, image: project(V, image)[1], (0, 3, 3), id="project"),
+    pytest.param(lambda S, V, image: transition_entries(S, image.basis), (0, 7),
+                 id="transition_entries"),
+    pytest.param(lambda S, V, image: second_quantize(S, image.basis), (0, 3, 3),
+                 id="second_quantize"),
+    pytest.param(lambda S, V, image: evolution_matrix(S, image.basis), (0, 3, 3),
+                 id="evolution_matrix"),
+])
+def test_empty_stack(kernel, shape, image22):
+    # a stack of no matrices gives a stack of no results, not a reshape error
+    S, V = np.empty((0, 2, 2), dtype=complex), np.empty((0, 3, 3), dtype=complex)
+    assert kernel(S, V, image22).shape == shape
 
 
 def dense_build(basis):

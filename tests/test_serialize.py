@@ -1,3 +1,4 @@
+import enum
 import errno
 import json
 import os
@@ -120,6 +121,17 @@ class Real(float):
         return "Real()"
 
 
+class Text(str):
+    """A str subclass with its own repr, which json does not use."""
+
+    def __repr__(self):
+        return "Text()"
+
+
+class Mode(enum.IntEnum):
+    ONE = 1
+
+
 ORACLE_CORPUS = [
     NAN, INF, -INF, -0.0, 5e-324, 1e300, [NAN, INF, -INF, -0.0, 5e-324, 1e300, 0.1],
     10 ** 400, -(10 ** 30), [10 ** 400, -(10 ** 30), 0], [True, 1, 1.0, False, 0, 0.0],
@@ -141,10 +153,14 @@ ORACLE_CORPUS = [
     {"deep": [[[[[[[[1, {"x": [2, 3]}]]]]]]]]},
     lambda: [1, 2], [lambda: {"z": None, "a": [lambda: 1.5]}, lambda: [], 3],
     {"b": lambda: lambda: {"q": [[1, 2], [3, lambda: 4]]}, "a": [lambda: {"x": 1}] * 3},
+    Text("t\u00e9"), [Text("a"), "b"], {Text("k"): Text("v")},
+    Mode.ONE, [Mode.ONE, 2], {Mode.ONE: Mode.ONE, 0: "zero"}, [{Mode.ONE: 1.5}, {Mode.ONE: 2}],
+    ["a", True, None, "", False], [None, "%s", True],
 ]
 ORACLE_ERRORS = [
     1j, np.int64(1), {1, 2}, object(), [1.0, 2j], [[1, 2], [3, 4j]], [{"a": 1}, {"a": {2}}],
     {(1, 2): 3}, [{(1, 2): 3}], lambda: [1j], {"a": 1, 2: "b"}, [{"a": 1, 2: "b"}],
+    b"x",
 ]
 
 
