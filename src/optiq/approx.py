@@ -25,11 +25,26 @@ start i's result depends only on (rng_seed, i), whatever k and however the
 starts are chunked. So do its
 errors: when a stacked run fails, its starts are rerun alone, in index
 order, and the first start that fails alone raises its own error.
+
+A chunk of k >= 2 starts is shared among w = min(k, usable CPUs) workers,
+start i to worker i mod w: the calling process is worker 0, and the others
+are ``os.fork`` children that send their results back through a pipe. The
+step loop is Python, which holds the interpreter lock, so threads would
+not overlap it. Each matrix gets the same bits in any stack, so the
+results cannot change. The search stays in-process where forking is not
+safe or not available: in a process with a second OS thread (a BLAS thread
+pool, a Python thread), since fork copies only the calling thread, and
+wherever ``os.fork`` or ``os.sched_getaffinity`` is missing. If any share
+fails, the chunk runs again in-process, so errors are those of the
+in-process search.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import os
+import pickle
 import traceback
 from dataclasses import dataclass
 
@@ -132,7 +147,9 @@ def _iterate(U, starts, image_basis: ImageBasis, tol: float,
     Each start's run makes the same checks, and gets the same bits, as it
     would alone. When a stacked run fails, the starts rerun alone, in index
     order, up to the first that fails, and its own error is raised: so only
-    a failing run pays, with at most one serial pass over the starts.
+    a failing run pays, with at most one serial pass over the starts. With
+    w = :func:`_workers` > 1, the starts are first shared among w processes,
+    and the in-process run above is the fallback when a share fails.
     """
     fb = image_basis.basis
     U = require_unitary(U, "target")
@@ -151,6 +168,9 @@ def _iterate(U, starts, image_basis: ImageBasis, tol: float,
     if require_int(max_iter) < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
+    if (w := _workers(len(S))) > 1 and (results := _in_workers(
+            U, S, image_basis, tol, max_iter, w)) is not None:
+        return results
     try:
         return _run(U, np.array(S), image_basis, tol, max_iter)
     except OptiqError as exc:
@@ -161,6 +181,83 @@ def _iterate(U, starts, image_basis: ImageBasis, tol: float,
     for start in S:
         _run(U, start[None], image_basis, tol, max_iter)
     raise stacked
+
+
+def _workers(k: int) -> int:
+    """How many processes share a chunk of k starts: one per usable CPU, at
+    most k, where forking is safe and available; else 1."""
+    if k < 2 or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    try:
+        # fork copies only the calling thread: a lock that another thread
+        # holds, in the interpreter or in a BLAS pool, stays held in the child
+        if len(os.listdir("/proc/self/task")) != 1:
+            return 1
+    except OSError:  # no /proc: the thread count cannot be read
+        return 1
+    return min(k, len(os.sched_getaffinity(0)))
+
+
+def _in_workers(U, S: list, image_basis: ImageBasis, tol: float, max_iter: int,
+                w: int) -> list[ApproxResult] | None:
+    """Run start i of the checked starts S in worker i mod w: workers
+    1 ... w - 1 are forked children, worker 0 is this process. Returns the
+    results in start order, or None if any share failed or a child could
+    not be started. Every child is reaped before this returns or raises."""
+    pids, pipes = [], []
+    try:
+        for j in range(1, w):
+            r, wr = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(wr)
+                return None
+            if pid == 0:
+                os.close(r)  # so that a write fails, not blocks, once the parent is gone
+                _child(wr, U, S[j::w], image_basis, tol, max_iter)
+            os.close(wr)
+            pids.append(pid)
+            pipes.append(open(r, "rb"))
+        try:
+            shares = [_run(U, np.array(S[::w]), image_basis, tol, max_iter)]
+        except OptiqError:
+            return None
+        for pipe in pipes:
+            try:
+                shares.append(pickle.load(pipe))
+            except (EOFError, pickle.UnpicklingError):  # short data
+                return None
+            if os.waitpid(pids.pop(0), 0)[1] != 0:
+                return None
+        results = [None] * len(S)
+        for j, share in enumerate(shares):
+            results[j::w] = share
+        return results
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if pids:  # still running: their results are not needed
+            import signal
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _child(fd: int, U, S: list, image_basis: ImageBasis, tol: float, max_iter: int):
+    """A forked worker: run its share, write the pickled results to fd, and
+    leave through os._exit, with status 0 only if all were written."""
+    code = 1
+    try:
+        # a collection here could run the finalizers of the parent's garbage
+        gc.disable()
+        with open(fd, "wb") as f:
+            pickle.dump(_run(U, np.array(S), image_basis, tol, max_iter), f,
+                        pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _run(U, S, image_basis: ImageBasis, tol: float, max_iter: int) -> list[ApproxResult]:
@@ -261,8 +358,11 @@ def multi_start(U, image_basis: ImageBasis, k: int,
     """Explore local optima from the identity plus k - 1 Haar-random seeds.
 
     The starts run as one batched stack, in consecutive chunks of at most
-    STACK_BYTES of evolutions. Start i draws its seed from (rng_seed, i)
-    and its result depends on nothing else: not on k, nor on the chunking.
+    STACK_BYTES of evolutions, each chunk shared among one forked worker
+    per usable CPU where the process has a single thread (see the module
+    docstring), and run in-process otherwise. Start i draws its seed from
+    (rng_seed, i) and its result depends on nothing else: not on k, nor on
+    the chunking, nor on the worker that runs it. No worker outlives the call.
     A result joins, in start order, the first cluster whose representative
     lies within ``cluster_tol`` in Frobenius distance; that is its first
     start until a later member is closer by more than TIE_TOL. Returns

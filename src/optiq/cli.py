@@ -11,12 +11,14 @@ Exit codes: 0 success, 2 shape error, 3 unitarity error, 4 numerical
 instability, 1 anything else. Every command is deterministic given its
 flags; reports embed the full configuration so they can be replayed.
 Replay rebuilds the report with approximate's own :func:`_report` and
-compares the two documents.
+compares the two documents; each recorded mesh is multiplied out and
+compared with its recorded scattering matrix instead.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import reprlib
 import sys
 from dataclasses import asdict, dataclass
@@ -158,20 +160,48 @@ def cmd_approximate(args) -> int:
 
 REPLAY_TOL = TIE_TOL
 REPLAY_LINES = 20  # mismatch lines printed before the rest are only counted
-#: Fields replay checks for presence only: a mesh's angles are
-#: ill-conditioned in its scattering matrix, so roundoff moves them.
-PRESENCE_ONLY = frozenset({"circuit"})
+
+
+def _mesh_residual(plan, S) -> tuple[float, float]:
+    """How far the plan's reconstruction lies from the matrix S, and the
+    bound it must stay within."""
+    if plan.m != S.shape[0]:
+        raise ShapeError(f"plan has m = {plan.m}, the matrix dimension {S.shape[0]}")
+    # print-precision inputs can only be reconstructed up to their own defect
+    return distance(reconstruct(plan), S), max(1e-9 * plan.m, 10.0 * unitarity_residual(S))
+
+
+def _mesh_diff(entry: dict, path: str):
+    """The (path, text) of a recorded cluster entry whose circuit does not
+    reconstruct its recorded scattering matrix. The mesh is compared by
+    its product, not angle by angle: an angle is ill-conditioned in the
+    matrix, so roundoff can move it by far more than REPLAY_TOL."""
+    try:
+        # a tampered matrix may overflow; a residual or bound of inf or NaN is a mismatch
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual, bound = _mesh_residual(
+                serialize.plan_from_obj(entry["circuit"]),
+                serialize.matrix_from_obj(entry["scattering_matrix"]))
+    except OptiqError as exc:
+        yield path, f"cannot be reconstructed: {exc}"
+        return
+    if not residual <= bound < math.inf:
+        yield path, (f"reconstruction differs from the recorded scattering matrix "
+                     f"by {residual:.3e}, more than {bound:.3e}")
 
 
 def _diff(old, new, path=""):
     """The (path, text) of each place where the recorded tree old differs
     from the rebuilt tree new, whose builders are called when reached. Types
     (1 is neither True nor 1.0), dict keys and list lengths must match;
-    floats agree within REPLAY_TOL, other leaves exactly."""
+    floats agree within REPLAY_TOL, other leaves exactly; a circuit is
+    checked by :func:`_mesh_diff`."""
     new = new() if callable(new) else new
     same, keys = type(old) is type(new), ()
     if same and type(new) is dict and old.keys() == new.keys():
-        keys = [key for key in new if key not in PRESENCE_ONLY]
+        keys = [key for key in new if key != "circuit"]
+        if "circuit" in new:
+            yield from _mesh_diff(old, f"{path}.circuit")
     elif same and type(new) is list and len(old) == len(new):
         keys = range(len(new))
     elif same and type(new) is dict:
@@ -225,9 +255,7 @@ def cmd_sample(args) -> int:
 def cmd_decompose(args) -> int:
     S = serialize.load_matrix(args.scattering)
     plan = decompose(S)
-    residual = distance(reconstruct(plan), S)
-    # print-precision inputs can only be reconstructed up to their own defect
-    bound = max(1e-9 * plan.m, 10.0 * unitarity_residual(np.asarray(S, dtype=complex)))
+    residual, bound = _mesh_residual(plan, S)
     if residual > bound:
         raise NumericalInstabilityError(
             f"plan reconstruction differs from input by {residual:.3e}")

@@ -2,7 +2,8 @@
 
 Complex matrices:  {"dim": d, "entries": [[[re, im], ...], ...]}  row-major.
 Circuit plans:     {"format_version", "m", "elements": [{"kind", "modes",
-                    "theta", "phi"}, ...], "residual_phases": [float, ...]}.
+                    "theta", "phi"}, ...], "residual_phases": [float, ...]},
+                   read back by :func:`plan_from_obj`.
 
 A plain-text matrix reader is also accepted for convenience: one row per
 line, whitespace-separated complex literals such as ``0.5``, ``-2i`` or
@@ -33,8 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import CircuitPlan
+from .circuit import CircuitPlan, OpticalElement
 from .errors import OptiqError, ShapeError
+from .validate import require_int
 
 FORMAT_VERSION = 1
 
@@ -268,3 +270,19 @@ def plan_to_obj(plan: CircuitPlan) -> dict:
         "residual_phases": [float(x) for x in plan.residual_phases],
     }
 
+
+def plan_from_obj(obj) -> CircuitPlan:
+    """Read back a plan written by :func:`plan_to_obj`. Its format_version
+    must be FORMAT_VERSION, m and the modes integers and the angles numbers;
+    :func:`circuit.reconstruct` checks the rest."""
+    try:
+        if type(version := obj["format_version"]) is not int or version != FORMAT_VERSION:
+            raise ValueError(f"format_version must be {FORMAT_VERSION}, got {version!r}")
+        elements = tuple(
+            OpticalElement(kind=el["kind"], modes=tuple(map(require_int, el["modes"])),
+                           theta=float(_number(el["theta"])), phi=float(_number(el["phi"])))
+            for el in obj["elements"])
+        return CircuitPlan(require_int(obj["m"]), elements,
+                           tuple(float(_number(x)) for x in obj["residual_phases"]))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise OptiqError(f"malformed plan object: {exc!r}") from None

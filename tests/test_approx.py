@@ -1,6 +1,8 @@
 import itertools
 import math
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -53,6 +55,24 @@ def record_runs(monkeypatch):
 
     monkeypatch.setattr(approx, "_iterate", recorded)
     return results
+
+
+def record_stacks(monkeypatch):
+    """Collect the stack size of every run of the engine in this process."""
+    sizes = []
+    run = approx._run
+
+    def recorded(U, S, *args):
+        sizes.append(len(S))
+        return run(U, S, *args)
+
+    monkeypatch.setattr(approx, "_run", recorded)
+    return sizes
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestApproximate:
@@ -148,7 +168,7 @@ class TestApproximate:
         E = res.evolution
         assert np.linalg.norm(E.conj().T @ E - np.eye(3)) < 1e-10
 
-    def test_corrupted_basis_reported_as_instability(self, image22):
+    def test_corrupted_basis_reported_as_instability(self, image22, monkeypatch):
         # elements and preimages scaled alike overshoot each step and break
         # the step bounds, scaled preimages alone the lift of the step
         # generator, and a non-anti-Hermitian element the projection; start
@@ -167,7 +187,6 @@ class TestApproximate:
             assert alone[0] is cls and (alone[1] is None) == (cls is InternalConsistencyError)
             # a batched run raises the error of its lowest-index failing
             # start: the class, step and message of that start's own run
-            assert raised(lambda: multi_start(golden.QFT3, broken, k=5, max_iter=50)) == alone
             starts = [haar_random(2, derive_seed(0, i)) for i in (late, 1)]
             errors = [raised(lambda: approximate(golden.QFT3, start, broken, max_iter=50))
                       for start in starts]
@@ -178,8 +197,15 @@ class TestApproximate:
                 assert errors[0][1] == errors[1][1] == 0 and errors[0] != errors[1]
             else:
                 assert errors[1][1] < errors[0][1]
-            assert raised(lambda: approx._iterate(golden.QFT3, starts, broken, 1e-10, 50)) == \
-                (errors[0] or errors[1])
+            # the same errors whether the failing start runs here or in a
+            # forked worker (start 1 of two, and starts 1 and 3 of five)
+            for workers in (1, 2):
+                monkeypatch.setattr(approx, "_workers", lambda k: min(k, workers))
+                assert raised(lambda: multi_start(golden.QFT3, broken, k=5, max_iter=50)) == \
+                    alone
+                assert raised(lambda: approx._iterate(golden.QFT3, starts, broken, 1e-10,
+                                                      50)) == (errors[0] or errors[1])
+                no_child_left()
 
     def test_basis_corrupted_off_the_transition_pattern(self, image22):
         # the pair enters v_T but not the lift of the step generator
@@ -441,28 +467,86 @@ class TestMultiStart:
                 multi_start(golden.QFT3, image22, k=k)
 
     def test_start_depends_only_on_seed_and_index(self, monkeypatch):
-        # start i gets the same bits alone, among 7 or 50 starts, and in a
-        # run whose starts are cut into chunks of 3
+        # start i gets the same bits alone, among 7 or 50 starts, in a run
+        # whose starts are cut into chunks of 3, and whether 1, 2 or 3
+        # processes share each chunk
         image = build_image_basis(enumerate_basis(3, 3))
         U = haar_random(10, 5)
         runs = {}
-        for label, k, stack_bytes in [("k=7", 7, approx.STACK_BYTES),
-                                      ("k=50", 50, approx.STACK_BYTES),
-                                      ("chunks of 3", 7, 3 * 16 * 10 * 10)]:
+        for (label, k, stack_bytes), workers in itertools.product(
+                [("k=7", 7, approx.STACK_BYTES), ("k=50", 50, approx.STACK_BYTES),
+                 ("chunks of 3", 7, 3 * 16 * 10 * 10)], (1, 2, 3)):
             monkeypatch.setattr(approx, "STACK_BYTES", stack_bytes)
+            monkeypatch.setattr(approx, "_workers", lambda k: min(k, workers))
+            own = record_stacks(monkeypatch)
             batches = record_runs(monkeypatch)
             multi_start(U, image, k=k, rng_seed=5, max_iter=60)
-            runs[label] = [res for batch in batches for res in batch]
+            runs[label, workers] = [res for batch in batches for res in batch]
             monkeypatch.undo()
             assert [len(b) for b in batches] == ([3, 3, 1] if label == "chunks of 3" else [k])
+            # this process ran its own share of each chunk, and nothing again
+            assert own == [len(b[::min(len(b), workers)]) for b in batches]
         for i in range(10):
             start = np.eye(3) if i == 0 else haar_random(3, derive_seed(5, i))
             alone = approximate(U, start, image, max_iter=60)
             assert all(same_result(results[i], alone)
                        for results in runs.values() if i < len(results))
         # the stack shrank as starts converged at different steps
-        iterations = {res.iterations for res in runs["k=50"]}
+        iterations = {res.iterations for res in runs["k=50", 1]}
         assert len(iterations) > 2 and max(iterations) == 60
+
+    @pytest.mark.parametrize("fault", ["exit", "short"])
+    def test_failed_worker_reruns_in_process(self, image22, monkeypatch, fault):
+        # a child that exits 3, or exits 0 after writing a truncated pickle,
+        # costs a rerun in this process, not the results; no child is left
+        def search():
+            return multi_start(golden.QFT3, image22, k=8, max_iter=300, rng_seed=31)
+
+        monkeypatch.setattr(approx, "_workers", lambda k: 1)
+        serial = search()
+        parent, run = os.getpid(), approx._run
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return run(*args)
+
+        def truncated(obj, f, *args):
+            f.write(approx.pickle.dumps(obj)[:-9])
+
+        if fault == "exit":
+            monkeypatch.setattr(approx, "_run", dying)
+        else:
+            monkeypatch.setattr(approx.pickle, "dump", truncated)
+        monkeypatch.setattr(approx, "_workers", lambda k: min(k, 2))
+        own = record_stacks(monkeypatch)
+        forked = search()
+        assert own == [4, 8]  # its own share, then the whole chunk again
+        assert [h for _, h in forked] == [h for _, h in serial]
+        assert all(same_result(a, b) for (a, _), (b, _) in zip(forked, serial))
+        no_child_left()
+
+    def test_stays_in_process_beside_a_thread(self, image22, monkeypatch):
+        # fork copies only the calling thread, so no process with a second
+        # thread forks, however many CPUs it may use; nor does a single start
+        def fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(os, "fork", fork)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert approx._workers(8) == 1
+            clusters = multi_start(golden.QFT3, image22, k=8, max_iter=300, rng_seed=31)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert sum(h for _, h in clusters) == 8
+        assert approx._workers(1) == 1
+        approximate(golden.QFT3, np.eye(2), image22)
 
 
 class TestFidelityBound:

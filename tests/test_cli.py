@@ -9,25 +9,11 @@ import pytest
 import golden
 from optiq import approx, cli, serialize
 from optiq.approx import approximate, fidelity_bound, haar_random, multi_start
-from optiq.circuit import CircuitPlan, OpticalElement, decompose
+from optiq.circuit import decompose
 from optiq.cli import main
-from optiq.errors import InternalConsistencyError, NumericalInstabilityError, OptiqError
+from optiq.errors import InternalConsistencyError, NumericalInstabilityError
 from optiq.fock import enumerate_basis
 from optiq.lie import ImageBasis, build_image_basis
-
-
-def plan_from_obj(obj) -> CircuitPlan:
-    """Read back a plan written by ``serialize.plan_to_obj``."""
-    try:
-        elements = tuple(
-            OpticalElement(kind=el["kind"], modes=tuple(int(x) for x in el["modes"]),
-                           theta=float(el.get("theta", 0.0)),
-                           phi=float(el.get("phi", 0.0)))
-            for el in obj["elements"])
-        return CircuitPlan(int(obj["m"]), elements,
-                           tuple(float(x) for x in obj["residual_phases"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise OptiqError(f"malformed plan object: {exc}") from None
 
 
 @pytest.fixture()
@@ -367,9 +353,9 @@ class TestApproximateCommand:
     def test_replay_compares_every_field(self, tmp_path, capsys, qft3_file, order_file,
                                          monkeypatch):
         # each leaf of a --trace report, changed alone in a seeded way, fails
-        # replay with a line that names it, except in the mesh (presence
-        # only), the config and the target (they steer the search); those
-        # may verify or fail, but no exception escapes
+        # replay with a line that names it (in the mesh, one line that names
+        # the circuit), except in the config and the target (they steer the
+        # search); those may verify or fail, but no exception escapes
         out = tmp_path / "report.json"
         assert run(["approximate", qft3_file, "-m", "2", "-n", "2", "--ordering", order_file,
                     "--starts", "4", "--trace", "-o", str(out)]) == 0
@@ -434,8 +420,15 @@ class TestApproximateCommand:
             named = ".".join(map(str, path[:-1] if value == "delete" else path))
             assert code == 1 and f"replay mismatch: {named}: " in err, (path, value, err)
             assert err.count("\n") <= cli.REPLAY_LINES + 1
-        for path in [p for p in paths if "circuit" in p]:  # checked for presence only
-            assert replay(mutated(path, mutation(get(path))))[0] in (0, 1)
+        # the mesh is checked by its product, so also every angle + 0.37
+        circuits = [p for p in paths if "circuit" in p]
+        angles = [p for p in circuits if p[-1] in ("theta", "phi") or p[-2] == "residual_phases"]
+        assert len(angles) > 10
+        for path, value in [(p, mutation(get(p))) for p in circuits] + \
+                           [(p, get(p) + 0.37) for p in angles]:
+            code, err = replay(mutated(path, value))
+            assert code == 1 and err.count("\n") == 1, (path, value, err)
+            assert err.startswith(f"replay mismatch: clusters.{path[1]}.circuit: ")
 
         # a change everywhere prints REPLAY_LINES lines, then counts the rest
         report = json.loads(json.dumps(original))
@@ -606,7 +599,7 @@ class TestDecomposeCommand:
                        "0.68301-0.18301i -0.5+0.5i\n")
         out = tmp_path / "plan.json"
         assert run(["decompose", str(src), "-o", str(out)]) == 0
-        plan = plan_from_obj(json.loads(out.read_text()))
+        plan = serialize.plan_from_obj(json.loads(out.read_text()))
         from optiq.circuit import reconstruct
         assert np.max(np.abs(reconstruct(plan) - golden.SA3)) < 1e-4
 
@@ -615,7 +608,7 @@ class TestDecomposeCommand:
         out = tmp_path / "plan.json"
         assert run(["sample", "-m", "5", "--seed", "77", "-o", str(src)]) == 0
         assert run(["decompose", str(src), "-o", str(out)]) == 0
-        plan = plan_from_obj(json.loads(out.read_text()))
+        plan = serialize.plan_from_obj(json.loads(out.read_text()))
         from optiq.circuit import reconstruct
         S = serialize.load_matrix(src)
         assert np.linalg.norm(reconstruct(plan) - S) < 1e-9

@@ -15,7 +15,6 @@ from optiq.circuit import decompose, reconstruct
 from optiq.cli import main
 from optiq.errors import OptiqError, ShapeError
 from optiq.lie import distance
-from test_cli import plan_from_obj
 
 
 class TestMatrixFormat:
@@ -93,14 +92,20 @@ class TestPlanFormat:
         rng = np.random.default_rng(52)
         plan = decompose(haar(rng, 4))
         obj = json.loads(serialize.dumps_canonical(serialize.plan_to_obj(plan)))
-        again = plan_from_obj(obj)
+        again = serialize.plan_from_obj(obj)
         assert again == plan
         assert distance(reconstruct(again), reconstruct(plan)) == 0.0
 
     def test_malformed(self):
-        with pytest.raises(OptiqError):
-            plan_from_obj({"m": 2, "elements": [{"kind": "beam_splitter"}],
-                                     "residual_phases": [0, 0]})
+        good = serialize.plan_to_obj(decompose(haar(np.random.default_rng(52), 3)))
+        element = good["elements"][0]
+        for bad in [{"m": 2, "elements": [{"kind": "beam_splitter"}], "residual_phases": [0, 0]},
+                    {**good, "format_version": 2}, {**good, "format_version": True},
+                    {**good, "m": 3.0}, {**good, "residual_phases": ["0.5", 0.0, 0.0]},
+                    {**good, "elements": [{**element, "theta": "0.5"}]},
+                    {**good, "elements": [{**element, "modes": [0.0, 1]}]}, [good]]:
+            with pytest.raises(OptiqError, match="^malformed plan object: "):
+                serialize.plan_from_obj(bad)
 
 
 class Oracle(json.JSONEncoder):
