@@ -22,21 +22,19 @@ max_iter. Each start carries its log's Cayley shift from step to step, so
 a step costs one M x M LU solve and one ``eigh``. :func:`approximate` is
 the engine with one start. The stacked kernels treat each matrix alone, so
 start i's result depends only on (rng_seed, i), whatever k and however the
-starts are chunked. So do its
-errors: when a stacked run fails, its starts are rerun alone, in index
-order, and the first start that fails alone raises its own error.
+starts are chunked, or in which process they run.
 
-A chunk of k >= 2 starts is shared among w = min(k, usable CPUs) workers,
-start i to worker i mod w: the calling process is worker 0, and the others
-are ``os.fork`` children that send their results back through a pipe. The
-step loop is Python, which holds the interpreter lock, so threads would
-not overlap it. Each matrix gets the same bits in any stack, so the
-results cannot change. The search stays in-process where forking is not
-safe or not available: in a process with a second OS thread (a BLAS thread
-pool, a Python thread), since fork copies only the calling thread, and
-wherever ``os.fork`` or ``os.sched_getaffinity`` is missing. If any share
-fails, the chunk runs again in-process, so errors are those of the
-in-process search.
+Every chunk runs one way: start i in worker i mod w, where this process
+is worker 0 and the others are ``os.fork`` children that send their
+results back through a pipe; with w = 1, the in-process search, nothing
+is forked. w is min(k, usable CPUs), or 1 in a process with a second OS
+thread (a BLAS thread pool, a Python thread), since fork copies only the
+calling thread, and where ``os.fork`` or ``os.sched_getaffinity`` is
+missing. Threads would not overlap the step loop: it is Python, which
+holds the interpreter lock. A child that cannot be forked, exits nonzero
+or sends short data costs a stacked rerun of the chunk here. When a run
+fails, its starts rerun alone, in index order, and the first that fails
+alone raises its own error.
 """
 
 from __future__ import annotations
@@ -144,12 +142,13 @@ def _iterate(U, starts, image_basis: ImageBasis, tol: float,
              max_iter: int) -> list[ApproxResult]:
     """Run the iteration from every start as one stack; one result per start.
 
-    Each start's run makes the same checks, and gets the same bits, as it
-    would alone. When a stacked run fails, the starts rerun alone, in index
-    order, up to the first that fails, and its own error is raised: so only
-    a failing run pays, with at most one serial pass over the starts. With
-    w = :func:`_workers` > 1, the starts are first shared among w processes,
-    and the in-process run above is the fallback when a share fails.
+    Start i runs in worker i mod w = :func:`_workers` (see :func:`_shared`)
+    and gets the same checks and bits as it would alone. When a run fails,
+    the starts rerun alone, in index order, up to the first that fails, and
+    its own error is raised: only a failing run pays, with at most one
+    serial pass. If none fails alone, a kernel broke the per-matrix
+    contract and the failed stack's error is kept; with w > 1 that is this
+    process's share, so a ``[i]`` in its message counts within the share.
     """
     fb = image_basis.basis
     U = require_unitary(U, "target")
@@ -168,11 +167,8 @@ def _iterate(U, starts, image_basis: ImageBasis, tol: float,
     if require_int(max_iter) < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
-    if (w := _workers(len(S))) > 1 and (results := _in_workers(
-            U, S, image_basis, tol, max_iter, w)) is not None:
-        return results
     try:
-        return _run(U, np.array(S), image_basis, tol, max_iter)
+        return _shared(U, S, image_basis, tol, max_iter, _workers(len(S)))
     except OptiqError as exc:
         if len(S) == 1:
             raise
@@ -198,43 +194,41 @@ def _workers(k: int) -> int:
     return min(k, len(os.sched_getaffinity(0)))
 
 
-def _in_workers(U, S: list, image_basis: ImageBasis, tol: float, max_iter: int,
-                w: int) -> list[ApproxResult] | None:
-    """Run start i of the checked starts S in worker i mod w: workers
-    1 ... w - 1 are forked children, worker 0 is this process. Returns the
-    results in start order, or None if any share failed or a child could
-    not be started. Every child is reaped before this returns or raises."""
+def _shared(U, S: list, image_basis: ImageBasis, tol: float, max_iter: int,
+            w: int) -> list[ApproxResult]:
+    """Run start i of the checked starts S in worker i mod w, this process
+    being worker 0, and return the results in start order. A child that
+    cannot be forked, exits nonzero or sends short data costs a stacked
+    rerun of all of S here; an error in this process's share is raised.
+    Every child is reaped before this returns or raises."""
     pids, pipes = [], []
     try:
         for j in range(1, w):
             r, wr = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:
+            except OSError:  # out of processes or memory
                 os.close(r)
                 os.close(wr)
-                return None
+                break
             if pid == 0:
                 os.close(r)  # so that a write fails, not blocks, once the parent is gone
                 _child(wr, U, S[j::w], image_basis, tol, max_iter)
             os.close(wr)
             pids.append(pid)
             pipes.append(open(r, "rb"))
-        try:
-            shares = [_run(U, np.array(S[::w]), image_basis, tol, max_iter)]
-        except OptiqError:
-            return None
-        for pipe in pipes:
-            try:
-                shares.append(pickle.load(pipe))
-            except (EOFError, pickle.UnpicklingError):  # short data
-                return None
-            if os.waitpid(pids.pop(0), 0)[1] != 0:
-                return None
-        results = [None] * len(S)
-        for j, share in enumerate(shares):
-            results[j::w] = share
-        return results
+        else:  # every child started
+            results = [None] * len(S)
+            results[::w] = _run(U, np.array(S[::w]), image_basis, tol, max_iter)
+            for j, pipe in enumerate(pipes, 1):
+                try:
+                    results[j::w] = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # short data
+                    break
+                if os.waitpid(pids.pop(0), 0)[1] != 0:
+                    break
+            else:  # every share arrived
+                return results
     finally:
         for pipe in pipes:
             pipe.close()
@@ -243,6 +237,7 @@ def _in_workers(U, S: list, image_basis: ImageBasis, tol: float, max_iter: int,
             for pid in pids:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+    return _run(U, np.array(S), image_basis, tol, max_iter)
 
 
 def _child(fd: int, U, S: list, image_basis: ImageBasis, tol: float, max_iter: int):
@@ -357,10 +352,10 @@ def multi_start(U, image_basis: ImageBasis, k: int,
                 cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list[tuple[ApproxResult, int]]:
     """Explore local optima from the identity plus k - 1 Haar-random seeds.
 
-    The starts run as one batched stack, in consecutive chunks of at most
-    STACK_BYTES of evolutions, each chunk shared among one forked worker
-    per usable CPU where the process has a single thread (see the module
-    docstring), and run in-process otherwise. Start i draws its seed from
+    The starts run in consecutive chunks of at most STACK_BYTES of
+    evolutions; start i of a chunk runs in worker i mod w, where this
+    process is worker 0, the others are forked and w = 1 is the in-process
+    search (see the module docstring). Start i draws its seed from
     (rng_seed, i) and its result depends on nothing else: not on k, nor on
     the chunking, nor on the worker that runs it. No worker outlives the call.
     A result joins, in start order, the first cluster whose representative

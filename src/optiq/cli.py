@@ -166,7 +166,7 @@ def _mesh_residual(plan, S) -> tuple[float, float]:
     """How far the plan's reconstruction lies from the matrix S, and the
     bound it must stay within."""
     if plan.m != S.shape[0]:
-        raise ShapeError(f"plan has m = {plan.m}, the matrix dimension {S.shape[0]}")
+        raise ShapeError(f"plan has m = {plan.m} but the matrix has dimension {S.shape[0]}")
     # print-precision inputs can only be reconstructed up to their own defect
     return distance(reconstruct(plan), S), max(1e-9 * plan.m, 10.0 * unitarity_residual(S))
 

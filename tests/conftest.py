@@ -19,6 +19,21 @@ from optiq.lie import ImageBasis, build_image_basis  # noqa: E402
 from optiq.validate import as_complex_matrix, require_same_shape  # noqa: E402
 
 
+_listdir, _waitpid = os.listdir, os.waitpid  # as they are before any test patches them
+
+
+@pytest.fixture(autouse=True)
+def nothing_left_open():
+    """Each test leaves no child process and no new open descriptor: every
+    forked worker is reaped and every pipe closed, whether a search
+    succeeds or fails."""
+    fds = _listdir("/dev/fd")
+    yield
+    with pytest.raises(ChildProcessError):
+        _waitpid(-1, os.WNOHANG)
+    assert _listdir("/dev/fd") == fds
+
+
 @pytest.fixture(scope="session")
 def basis22():
     """The reference-ordered two-photon, two-mode basis."""

@@ -1,3 +1,4 @@
+import errno
 import itertools
 import math
 import os
@@ -68,11 +69,6 @@ def record_stacks(monkeypatch):
 
     monkeypatch.setattr(approx, "_run", recorded)
     return sizes
-
-
-def no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestApproximate:
@@ -205,7 +201,6 @@ class TestApproximate:
                     alone
                 assert raised(lambda: approx._iterate(golden.QFT3, starts, broken, 1e-10,
                                                       50)) == (errors[0] or errors[1])
-                no_child_left()
 
     def test_basis_corrupted_off_the_transition_pattern(self, image22):
         # the pair enters v_T but not the lift of the step generator
@@ -495,10 +490,12 @@ class TestMultiStart:
         iterations = {res.iterations for res in runs["k=50", 1]}
         assert len(iterations) > 2 and max(iterations) == 60
 
-    @pytest.mark.parametrize("fault", ["exit", "short"])
+    @pytest.mark.parametrize("fault", ["exit", "short", "fork"])
     def test_failed_worker_reruns_in_process(self, image22, monkeypatch, fault):
         # a child that exits 3, or exits 0 after writing a truncated pickle,
-        # costs a rerun in this process, not the results; no child is left
+        # or a fork that fails (the 2nd of 3) for want of processes, costs a
+        # rerun in this process, not the results (the autouse fixture
+        # requires that no child or pipe is left)
         def search():
             return multi_start(golden.QFT3, image22, k=8, max_iter=300, rng_seed=31)
 
@@ -514,17 +511,30 @@ class TestMultiStart:
         def truncated(obj, f, *args):
             f.write(approx.pickle.dumps(obj)[:-9])
 
+        forks, fork = itertools.count(1), os.fork
+
+        def failing_fork():
+            if next(forks) == 2:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        workers = 2
         if fault == "exit":
             monkeypatch.setattr(approx, "_run", dying)
-        else:
+        elif fault == "short":
             monkeypatch.setattr(approx.pickle, "dump", truncated)
-        monkeypatch.setattr(approx, "_workers", lambda k: min(k, 2))
+        else:
+            monkeypatch.setattr(os, "fork", failing_fork)
+            workers = 4
+        monkeypatch.setattr(approx, "_workers", lambda k: min(k, workers))
         own = record_stacks(monkeypatch)
         forked = search()
-        assert own == [4, 8]  # its own share, then the whole chunk again
+        # its own share, then the whole chunk again; a failed fork comes first
+        assert own == ([8] if fault == "fork" else [4, 8])
         assert [h for _, h in forked] == [h for _, h in serial]
         assert all(same_result(a, b) for (a, _), (b, _) in zip(forked, serial))
-        no_child_left()
+        if fault == "fork":
+            assert next(forks) == 3  # no fork after the failed one
 
     def test_stays_in_process_beside_a_thread(self, image22, monkeypatch):
         # fork copies only the calling thread, so no process with a second
@@ -545,6 +555,18 @@ class TestMultiStart:
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert sum(h for _, h in clusters) == 8
+        # nor where /proc is missing, so the thread count cannot be read
+        listdir = os.listdir
+
+        def no_proc(path="."):
+            if os.fspath(path).startswith("/proc/"):
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+            return listdir(path)
+
+        monkeypatch.setattr(os, "listdir", no_proc)
+        assert approx._workers(8) == 1
+        again = multi_start(golden.QFT3, image22, k=8, max_iter=300, rng_seed=31)
+        assert [h for _, h in again] == [h for _, h in clusters]
         assert approx._workers(1) == 1
         approximate(golden.QFT3, np.eye(2), image22)
 

@@ -300,6 +300,17 @@ class TestApproximateCommand:
             assert run(["replay", str(out)]) == 1
             assert message in capsys.readouterr().err
 
+        # a valid plan for another mode count cannot be multiplied out
+        report = json.loads(original)
+        circuit = report["clusters"][0]["circuit"]
+        circuit.update(m=3, residual_phases=circuit["residual_phases"] + [0.0])
+        out.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(["replay", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "replay mismatch: clusters.0.circuit: cannot be reconstructed: "
+            "plan has m = 3 but the matrix has dimension 2\n")
+
         # another member's iterations, and a scattering matrix that differs
         # by an n-th root of unity (-1 for n = 2) and so has the same lift
         report = json.loads(original)
