@@ -31,10 +31,11 @@ is forked. w is min(k, usable CPUs), or 1 in a process with a second OS
 thread (a BLAS thread pool, a Python thread), since fork copies only the
 calling thread, and where ``os.fork`` or ``os.sched_getaffinity`` is
 missing. Threads would not overlap the step loop: it is Python, which
-holds the interpreter lock. A child that cannot be forked, exits nonzero
-or sends short data costs a stacked rerun of the chunk here. When a run
-fails, its starts rerun alone, in index order, and the first that fails
-alone raises its own error.
+holds the interpreter lock. A child's share arrives only as one complete
+pickle; a share whose child could not be forked, or exited before sending
+all of it, runs here as its own stack, after this process's share. When a
+run fails, its starts rerun alone, in index order, and the first that
+fails alone raises its own error.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import gc
 import math
 import os
 import pickle
+import signal
 import traceback
 from dataclasses import dataclass
 
@@ -147,8 +149,9 @@ def _iterate(U, starts, image_basis: ImageBasis, tol: float,
     the starts rerun alone, in index order, up to the first that fails, and
     its own error is raised: only a failing run pays, with at most one
     serial pass. If none fails alone, a kernel broke the per-matrix
-    contract and the failed stack's error is kept; with w > 1 that is this
-    process's share, so a ``[i]`` in its message counts within the share.
+    contract and the error of the stack that failed here is kept: this
+    process's share, or a share that did not arrive, so with w > 1 a
+    ``[i]`` in its message counts within that share.
     """
     fb = image_basis.basis
     U = require_unitary(U, "target")
@@ -197,9 +200,10 @@ def _workers(k: int) -> int:
 def _shared(U, S: list, image_basis: ImageBasis, tol: float, max_iter: int,
             w: int) -> list[ApproxResult]:
     """Run start i of the checked starts S in worker i mod w, this process
-    being worker 0, and return the results in start order. A child that
-    cannot be forked, exits nonzero or sends short data costs a stacked
-    rerun of all of S here; an error in this process's share is raised.
+    being worker 0, and return the results in start order. A share arrives
+    as one complete pickle from its child; a share whose child could not be
+    forked, or exited before sending all of it, runs here as its own stack,
+    after this process's share. An error in a stack run here is raised.
     Every child is reaped before this returns or raises."""
     pids, pipes = [], []
     try:
@@ -217,27 +221,20 @@ def _shared(U, S: list, image_basis: ImageBasis, tol: float, max_iter: int,
             os.close(wr)
             pids.append(pid)
             pipes.append(open(r, "rb"))
-        else:  # every child started
-            results = [None] * len(S)
-            results[::w] = _run(U, np.array(S[::w]), image_basis, tol, max_iter)
-            for j, pipe in enumerate(pipes, 1):
-                try:
-                    results[j::w] = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):  # short data
-                    break
-                if os.waitpid(pids.pop(0), 0)[1] != 0:
-                    break
-            else:  # every share arrived
-                return results
+        results = [None] * len(S)
+        results[::w] = _run(U, np.array(S[::w]), image_basis, tol, max_iter)
+        for j in range(1, w):
+            try:
+                results[j::w] = pickle.load(pipes[j - 1])
+            except (IndexError, EOFError, pickle.UnpicklingError):  # not forked, or short data
+                results[j::w] = _run(U, np.array(S[j::w]), image_basis, tol, max_iter)
+        return results
     finally:
         for pipe in pipes:
             pipe.close()
-        if pids:  # still running: their results are not needed
-            import signal
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    return _run(U, np.array(S), image_basis, tol, max_iter)
+        for pid in pids:  # its share arrived, or is no longer needed
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _child(fd: int, U, S: list, image_basis: ImageBasis, tol: float, max_iter: int):

@@ -494,8 +494,8 @@ class TestMultiStart:
     def test_failed_worker_reruns_in_process(self, image22, monkeypatch, fault):
         # a child that exits 3, or exits 0 after writing a truncated pickle,
         # or a fork that fails (the 2nd of 3) for want of processes, costs a
-        # rerun in this process, not the results (the autouse fixture
-        # requires that no child or pipe is left)
+        # rerun of that share in this process, not the results (the autouse
+        # fixture requires that no child or pipe is left)
         def search():
             return multi_start(golden.QFT3, image22, k=8, max_iter=300, rng_seed=31)
 
@@ -529,12 +529,32 @@ class TestMultiStart:
         monkeypatch.setattr(approx, "_workers", lambda k: min(k, workers))
         own = record_stacks(monkeypatch)
         forked = search()
-        # its own share, then the whole chunk again; a failed fork comes first
-        assert own == ([8] if fault == "fork" else [4, 8])
+        # its own share, then each share that did not arrive: after a failed
+        # fork, that share and the next, which is not forked
+        assert own == ([2, 2, 2] if fault == "fork" else [4, 4])
         assert [h for _, h in forked] == [h for _, h in serial]
         assert all(same_result(a, b) for (a, _), (b, _) in zip(forked, serial))
         if fault == "fork":
             assert next(forks) == 3  # no fork after the failed one
+
+    def test_child_check_failure_reruns_only_its_share(self, image22, monkeypatch):
+        # on the kernel-corrupted basis start 1 fails a check and start 4
+        # does not. A child whose share fails sends nothing, so that share
+        # alone runs again here before the start-by-start pass; a failing
+        # share here goes straight to that pass
+        elements = image22.elements.copy()
+        elements[0] += 9e-10 * np.eye(3)
+        kernel = dense_image_basis(image22.basis, elements, image22.preimages)
+        start = {i: haar_random(2, derive_seed(0, i)) for i in (1, 4)}
+        alone = raised(lambda: approximate(golden.QFT3, start[1], kernel, max_iter=50))
+        assert alone[0] is InternalConsistencyError
+        monkeypatch.setattr(approx, "_workers", lambda k: min(k, 2))
+        own = record_stacks(monkeypatch)
+        for order, stacks in (((4, 1, 4), [2, 1, 1, 1]), ((1, 4, 4), [2, 1])):
+            own.clear()
+            assert raised(lambda: approx._iterate(
+                golden.QFT3, [start[i] for i in order], kernel, 1e-10, 50)) == alone
+            assert own == stacks
 
     def test_stays_in_process_beside_a_thread(self, image22, monkeypatch):
         # fork copies only the calling thread, so no process with a second

@@ -7,6 +7,7 @@ import pytest
 
 import golden
 from conftest import evolution_matrix_oracle, haar, permanent
+from optiq import homomorphism
 from optiq.errors import ShapeError
 from optiq.fock import dimension, enumerate_basis
 from optiq.homomorphism import (_levels, evolution_matrix, second_quantize,
@@ -138,6 +139,21 @@ class TestEvolutionMatrix:
             assert np.array_equal(got[i], evolution_matrix(S[i], basis))
         assert np.array_equal(evolution_matrix(S.reshape(2, 3, m, m), basis),
                               got.reshape(2, 3, len(basis), len(basis)))
+
+    @pytest.mark.parametrize("m,n,k", [(3, 3, 7), (5, 4, 5)])
+    def test_column_blocks_keep_the_bits(self, m, n, k, monkeypatch):
+        # the default lifts each level of these stacks in one block; one
+        # column per block, or three at the top level (where the last block
+        # is ragged), gives the same bits
+        basis = enumerate_basis(m, n)
+        rng = np.random.default_rng(30 * m + n)
+        S = np.array([haar(rng, m) for _ in range(k)])
+        want = evolution_matrix(S, basis)
+        M = len(basis)
+        assert M % 3 and 16 * M * M * k <= homomorphism.LIFT_BLOCK_BYTES
+        for block_bytes in (1, 3 * 16 * M * k):
+            monkeypatch.setattr(homomorphism, "LIFT_BLOCK_BYTES", block_bytes)
+            assert np.array_equal(evolution_matrix(S, basis), want)
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_homomorphism_and_unitarity(self, m, n):
