@@ -8,8 +8,8 @@ projections onto the algebra of reachable generators and explores local
 optima from Haar-random starting points.
 """
 
-from .approx import (ApproxResult, IterationRecord, approximate, derive_seed,
-                     fidelity_bound, haar_random, multi_start)
+from .approx import (ApproxResult, approximate, derive_seed, fidelity_bound,
+                     haar_random, multi_start)
 from .circuit import CircuitPlan, OpticalElement, decompose, reconstruct
 from .errors import (DimensionOverflowError, InternalConsistencyError,
                      InvalidOrderingError, NumericalInstabilityError,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproxResult", "CircuitPlan", "DimensionOverflowError", "FockBasis",
     "ImageBasis", "InternalConsistencyError", "InvalidOrderingError",
-    "IterationRecord", "NumericalInstabilityError", "OpticalElement",
+    "NumericalInstabilityError", "OpticalElement",
     "OptiqError", "RankDeficiencyError", "ShapeError", "UnitarityError",
     "UnknownStateError", "approximate", "build_image_basis", "decompose",
     "derive_seed", "dimension", "distance", "enumerate_basis",

@@ -22,7 +22,10 @@ max_iter. Each start carries its log's Cayley shift from step to step, so
 a step costs one M x M LU solve and one ``eigh``. :func:`approximate` is
 the engine with one start. The stacked kernels treat each matrix alone, so
 start i's result depends only on (rng_seed, i), whatever k and however the
-starts are chunked, or in which process they run.
+starts are chunked, or in which process they run. A start's trace, its
+distance, tangent norm and normal norm at each step, becomes one float64
+record array when the start finishes, so a forked share pickles as a few
+arrays per start, not as an object per step.
 
 Every chunk runs one way: start i in worker i mod w, where this process
 is worker 0 and the others are ``os.fork`` children that send their
@@ -89,24 +92,16 @@ TIE_TOL = 1e-9
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True, slots=True)
-class IterationRecord:
-    """Distance and projection norms observed at one step of a run."""
-
-    step: int
-    distance: float
-    tangent_norm: float
-    normal_norm: float
-
-
 @dataclass(eq=False)
 class ApproxResult:
     """Outcome of one approximation run.
 
     ``evolution`` is the closest reachable M x M matrix found and
     ``scattering`` the m x m matrix realizing it:
-    ``evolution_matrix(scattering) == evolution`` bit for bit. ``trace[i]``
-    describes the iterate after i updates.
+    ``evolution_matrix(scattering) == evolution`` bit for bit. ``trace`` is
+    a float64 record array with fields ``distance``, ``tangent_norm`` and
+    ``normal_norm``, one row per iterate: ``trace[i]`` describes the
+    iterate after i updates, so ``len(trace) == iterations + 1``.
     """
 
     evolution: np.ndarray
@@ -114,7 +109,7 @@ class ApproxResult:
     final_distance: float
     iterations: int
     converged: bool
-    trace: list[IterationRecord]
+    trace: np.recarray
 
 
 def approximate(U, start, image_basis: ImageBasis,
@@ -261,7 +256,7 @@ def _run(U, S, image_basis: ImageBasis, tol: float, max_iter: int) -> list[Appro
     rows = np.arange(k)  # the start each row of the stack belongs to
     prev_normal = np.full(k, math.inf)
     shifts = np.full(k, CAYLEY_SHIFT)  # each row's next first Cayley shift
-    traces: list[list[IterationRecord]] = [[] for _ in range(k)]
+    traces: list[list[tuple]] = [[] for _ in range(k)]  # (d_i, t_i, n_i) per step
     results: list[ApproxResult] = [None] * k
     for step in range(max_iter + 1):
         v = principal_log(Ui.conj().swapaxes(-1, -2) @ U, shifts)
@@ -285,11 +280,13 @@ def _run(U, S, image_basis: ImageBasis, tol: float, max_iter: int) -> list[Appro
                 raise NumericalInstabilityError(
                     f"geodesic norm {math.hypot(t_i, n_i):.12e} exceeds "
                     f"previous normal norm {p_i:.12e}", step=step)
-            traces[i].append(IterationRecord(step, d_i, t_i, n_i))
+            traces[i].append((d_i, t_i, n_i))
             if t_i < tol or step == max_iter:
+                trace = np.rec.fromrecords(traces[i], dtype=[
+                    ("distance", float), ("tangent_norm", float), ("normal_norm", float)])
                 results[i] = ApproxResult(
                     evolution=Ui[r].copy(), scattering=S[r].copy(), final_distance=d_i,
-                    iterations=step, converged=t_i < tol, trace=traces[i])
+                    iterations=step, converged=t_i < tol, trace=trace)
             else:
                 go.append(r)
         if not go:
@@ -395,9 +392,10 @@ def fidelity_bound(v_N_norm: float) -> float:
     """State-fidelity lower bound 1 - ||v_N||^2 / 2, clamped to -1.
 
     The bound is vacuous (negative) once the normal component exceeds
-    sqrt(2); the clamp keeps reports finite.
+    sqrt(2); the clamp keeps reports finite. The bound is a Python float
+    for any real input, numpy scalars included, as replay compares types.
     """
     if not v_N_norm >= 0:  # also NaN, which max() below would turn into -1
         raise ValueError(f"norm must be non-negative, got {v_N_norm}")
-    return max(-1.0, 1.0 - 0.5 * v_N_norm * v_N_norm)
+    return float(max(-1.0, 1.0 - 0.5 * v_N_norm * v_N_norm))
 

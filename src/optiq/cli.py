@@ -113,9 +113,8 @@ def _cluster_builder(result, hits: int, include_trace: bool):
         }
         if include_trace:
             entry["trace"] = [
-                {"step": r.step, "distance": r.distance,
-                 "tangent_norm": r.tangent_norm, "normal_norm": r.normal_norm}
-                for r in result.trace]
+                {"step": step, "distance": d, "tangent_norm": t, "normal_norm": n}
+                for step, (d, t, n) in enumerate(result.trace.tolist())]
         return entry
     return build
 

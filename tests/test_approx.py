@@ -26,13 +26,14 @@ def same_result(a, b):
     """Bit-for-bit equality of two ApproxResults."""
     return (np.array_equal(a.evolution, b.evolution)
             and np.array_equal(a.scattering, b.scattering)
-            and a.trace == b.trace and a.final_distance == b.final_distance
+            and np.array_equal(a.trace, b.trace) and a.final_distance == b.final_distance
             and (a.iterations, a.converged) == (b.iterations, b.converged))
 
 
 def records(res):
     """(distance, tangent norm, normal norm) of each iterate of a run."""
-    return np.array([(r.distance, r.tangent_norm, r.normal_norm) for r in res.trace])
+    return np.column_stack((res.trace.distance, res.trace.tangent_norm,
+                            res.trace.normal_norm))
 
 
 def raised(run):
@@ -299,9 +300,8 @@ class TestApproximate:
         steps = 50
         res = approximate(U, start, image, tol=1e-300, max_iter=steps)
         want, last = reference_run(U, start, basis, elements, steps)
-        got = [(r.distance, r.tangent_norm, r.normal_norm) for r in res.trace]
         assert res.iterations == steps
-        assert np.abs(np.array(got) - want).max() < 1e-12
+        assert np.abs(records(res) - want).max() < 1e-12
         assert np.abs(res.evolution - last).max() < 1e-12
 
     @pytest.mark.parametrize("m,n", [(3, 3), (4, 3), (5, 4)])
@@ -490,6 +490,26 @@ class TestMultiStart:
         iterations = {res.iterations for res in runs["k=50", 1]}
         assert len(iterations) > 2 and max(iterations) == 60
 
+    def test_traces_are_record_arrays(self, image22, monkeypatch):
+        # one float64 row per iterate; a forked share's traces arrive as the
+        # same arrays, bit for bit, as a one-process search builds
+        runs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(approx, "_workers", lambda k: min(k, workers))
+            batches = record_runs(monkeypatch)
+            multi_start(golden.QFT3, image22, k=8, max_iter=300, rng_seed=31)
+            runs[workers] = [res for batch in batches for res in batch]
+            monkeypatch.undo()
+        assert len(runs[1]) == len(runs[2]) == 8
+        for alone, forked in zip(runs[1], runs[2]):
+            for res in (alone, forked):
+                assert isinstance(res.trace, np.recarray)
+                assert res.trace.dtype.names == ("distance", "tangent_norm", "normal_norm")
+                assert all(res.trace.dtype[name] == np.float64 for name in res.trace.dtype.names)
+                assert len(res.trace) == res.iterations + 1
+                assert res.trace[-1].distance == res.final_distance
+            assert same_result(forked, alone)
+
     @pytest.mark.parametrize("fault", ["exit", "short", "fork"])
     def test_failed_worker_reruns_in_process(self, image22, monkeypatch, fault):
         # a child that exits 3, or exits 0 after writing a truncated pickle,
@@ -606,6 +626,12 @@ class TestFidelityBound:
         log_norm_sq = first.tangent_norm ** 2 + first.normal_norm ** 2
         want = 1 - (log_norm_sq - first.tangent_norm ** 2) / 2
         assert fidelity_bound(first.normal_norm) == pytest.approx(want, abs=1e-9)
+
+    def test_returns_a_python_float(self):
+        # replay compares types, and a trace's entries are numpy scalars
+        for norm in (np.float64(0.3), np.float32(0.3), np.float64(5.0), 0, 3):
+            assert type(fidelity_bound(norm)) is float
+        assert fidelity_bound(np.float64(0.3)) == fidelity_bound(0.3)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import json
 import os
 import stat
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,12 @@ def order_file(tmp_path):
     path = tmp_path / "order.json"
     path.write_text(json.dumps([list(s) for s in golden.ORDER_22]))
     return "@" + str(path)
+
+
+#: A --trace report written by an earlier version of optiq: QFT3 at
+#: (m, n) = (2, 2) in ORDER_22, 5 starts, seed 7, --max-iter 10. Every run
+#: stops at max_iter, so no step count hangs on roundoff near tol.
+RECORDED_REPORT = Path(__file__).parent / "data" / "qft3_trace_report.json"
 
 
 def run(args):
@@ -265,6 +272,12 @@ class TestApproximateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_replay_verifies_a_recorded_report(self, capsys):
+        # the trace and the fidelity bound are rebuilt to the recorded types
+        assert run(["replay", str(RECORDED_REPORT)]) == 0
+        assert capsys.readouterr().err == \
+            "replay verified: 4 cluster(s) match within 1e-09\n"
 
     def test_replay_detects_tampering(self, tmp_path, capsys, qft3_file, order_file):
         out = tmp_path / "report.json"
