@@ -160,8 +160,8 @@ def _iterate(U, starts, image_basis: ImageBasis, tol: float,
             raise ShapeError(
                 f"start dimension {start.shape[0]} does not match mode count {fb.m}")
         S.append(start)
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if require_int(max_iter) < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
@@ -361,8 +361,8 @@ def multi_start(U, image_basis: ImageBasis, k: int,
     """
     if require_int(k) < 1:
         raise ValueError(f"start count must be >= 1, got {k}")
-    if not cluster_tol > 0:
-        raise ValueError(f"cluster_tol must be positive, got {cluster_tol}")
+    if not 0 < cluster_tol < math.inf:
+        raise ValueError(f"cluster_tol must be positive and finite, got {cluster_tol}")
     m, M = image_basis.basis.m, len(image_basis.basis)
     chunk = max(1, STACK_BYTES // (16 * M * M))
     clusters: list[list] = []  # [representative, hit_count]

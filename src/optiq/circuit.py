@@ -67,13 +67,6 @@ def _splitter_block(theta: float, phi: float) -> np.ndarray:
     return np.array([[e * c, -s], [e * s, c]], dtype=complex)
 
 
-def _element_matrix(element: OpticalElement, m: int) -> np.ndarray:
-    M = np.eye(m, dtype=complex)
-    j, k = element.modes
-    M[np.ix_((j, k), (j, k))] = _splitter_block(element.theta, element.phi)
-    return M
-
-
 def _validate_plan(plan: CircuitPlan) -> None:
     if plan.m < 1:
         raise ShapeError(f"mode count must be >= 1, got {plan.m}")
@@ -91,12 +84,13 @@ def _validate_plan(plan: CircuitPlan) -> None:
 
 
 def reconstruct(plan: CircuitPlan) -> np.ndarray:
-    """Multiply out a plan into its m x m scattering matrix."""
+    """Multiply out a plan into its m x m scattering matrix, each element on its two rows."""
     _validate_plan(plan)
     U = np.eye(plan.m, dtype=complex)
     for el in plan.elements:
-        U = _element_matrix(el, plan.m) @ U
-    return np.diag(np.exp(1j * np.asarray(plan.residual_phases, dtype=float))) @ U
+        j, k = el.modes
+        U[j:k + 1] = _splitter_block(el.theta, el.phi) @ U[j:k + 1]
+    return np.exp(1j * np.asarray(plan.residual_phases, dtype=float))[:, None] * U
 
 
 def decompose(S) -> CircuitPlan:

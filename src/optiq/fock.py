@@ -18,8 +18,8 @@ from .validate import require_int
 
 DEFAULT_ORDERING = "lex_desc"
 
-#: Dense M x M storage becomes impractical past this point; pass a larger
-#: ``max_dim`` explicitly to override.
+#: Dense M x M storage becomes impractical past this point. Only
+#: :func:`enumerate_basis` reads it, at each call.
 MAX_DIMENSION = 20_000
 
 
@@ -116,9 +116,9 @@ class FockBasis:
 
 
 def enumerate_basis(m: int, n: int,
-                    ordering: str | Sequence[Sequence[int]] = DEFAULT_ORDERING,
-                    max_dim: int | None = MAX_DIMENSION) -> FockBasis:
-    """Enumerate the full n-photon basis on m modes in the requested order.
+                    ordering: str | Sequence[Sequence[int]] = DEFAULT_ORDERING) -> FockBasis:
+    """Enumerate the full n-photon basis on m modes in the requested order;
+    more than MAX_DIMENSION states raise DimensionOverflowError.
 
     Args:
         m: number of modes, at least 1.
@@ -126,16 +126,15 @@ def enumerate_basis(m: int, n: int,
         ordering: the tag ``"lex_desc"`` for the canonical order, or an
             explicit sequence of occupation vectors that must be a
             permutation of the complete state set.
-        max_dim: dense-storage cap; ``None`` disables the check.
     """
     if m < 1:
         raise ValueError(f"mode count must be >= 1, got {m}")
     if n < 1:
         raise ValueError(f"photon number must be >= 1, got {n}")
     M = dimension(m, n)
-    if max_dim is not None and M > max_dim:
+    if M > MAX_DIMENSION:
         raise DimensionOverflowError(
-            f"basis dimension {M} exceeds the dense-storage cap {max_dim}")
+            f"basis dimension {M} exceeds the dense-storage cap {MAX_DIMENSION}")
     if isinstance(ordering, str):
         if ordering.replace("-", "_") != DEFAULT_ORDERING:
             raise InvalidOrderingError(f"unknown ordering tag {ordering!r}")

@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .fock import FockBasis, _compositions, enumerate_basis
+from .fock import FockBasis, _compositions
 
 #: evolution_matrix's column blocks keep each temporary within about this many bytes.
 LIFT_BLOCK_BYTES = 2**20
@@ -62,7 +62,7 @@ def _levels(basis: FockBasis) -> tuple[tuple, ...]:
     order; built on first use and kept on the (immutable) basis."""
     if "levels" not in basis._lift_tables:
         basis._lift_tables["levels"] = tuple(
-            _level(basis if k == basis.n else enumerate_basis(basis.m, k, max_dim=None))
+            _level(basis if k == basis.n else FockBasis(basis.m, k, _compositions(basis.m, k)))
             for k in range(1, basis.n + 1))
     return basis._lift_tables["levels"]
 

@@ -168,10 +168,8 @@ def principal_log(U, shifts=None) -> np.ndarray:
         tans, Q[retry] = _cayley_pass(flat[retry], first[retry] + k)
         worst[retry] = np.abs(tans).max(axis=-1)
     theta = _eigen_angles(flat, Q)
-    wide = worst > CAYLEY_BOUND
-    if wide.any():
-        # a view, not a copy, when every matrix needs the pass
-        wide = slice(None) if wide.all() else np.flatnonzero(wide)
+    wide = np.flatnonzero(worst > CAYLEY_BOUND)
+    if wide.size:
         U_wide = flat[wide]
         _, Q_wide = _cayley_eigh(U_wide, _mid_gap(theta[wide]))
         Q[wide], theta[wide] = Q_wide, _eigen_angles(U_wide, Q_wide)

@@ -280,6 +280,8 @@ class TestApproximate:
             approximate(np.eye(3), np.eye(3), image22)
         with pytest.raises(ValueError):
             approximate(np.eye(3), np.eye(2), image22, tol=0.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            approximate(np.eye(3), np.eye(2), image22, tol=math.inf)
         with pytest.raises(ValueError):
             approximate(np.eye(3), np.eye(2), image22, max_iter=0)
         with pytest.raises(TypeError):
@@ -457,6 +459,8 @@ class TestMultiStart:
     def test_validates_k(self, image22):
         with pytest.raises(ValueError):
             multi_start(golden.QFT3, image22, k=0)
+        with pytest.raises(ValueError, match="cluster_tol must be positive and finite"):
+            multi_start(golden.QFT3, image22, k=2, cluster_tol=math.inf)
         for k in (True, 2.5):
             with pytest.raises(TypeError):
                 multi_start(golden.QFT3, image22, k=k)

@@ -9,10 +9,36 @@ from optiq.errors import InternalConsistencyError, ShapeError, UnitarityError
 from optiq.lie import distance
 
 
+def dense_product(plan):
+    """The plan multiplied out as dense m x m matrices in light order: each
+    element embedded in the identity, then the output phases as a diagonal."""
+    U = np.eye(plan.m, dtype=complex)
+    for el in plan.elements:
+        E = np.eye(plan.m, dtype=complex)
+        E[np.ix_(el.modes, el.modes)] = circuit._splitter_block(el.theta, el.phi)
+        U = E @ U
+    return np.diag(np.exp(1j * np.array(plan.residual_phases, dtype=float))) @ U
+
+
 class TestReconstruct:
     def test_empty_plan(self):
         plan = CircuitPlan(3, (), (0.0, 0.0, 0.0))
         assert np.array_equal(reconstruct(plan), np.eye(3))
+
+    def test_matches_the_dense_product(self):
+        # random plans, repeated pairs and the last pair included; the empty
+        # plan gives the identity exactly at every m
+        rng = np.random.default_rng(11)
+        for m in range(1, 11):
+            assert np.array_equal(reconstruct(CircuitPlan(m, (), (0.0,) * m)), np.eye(m))
+            for _ in range(5):
+                pairs = [*rng.integers(0, m - 1, size=3 * m), m - 2, m - 2] if m > 1 else []
+                elements = tuple(
+                    OpticalElement("beam_splitter", (int(j), int(j) + 1),
+                                   rng.uniform(0, np.pi / 2), rng.uniform(-np.pi, np.pi))
+                    for j in pairs)
+                plan = CircuitPlan(m, elements, tuple(rng.uniform(-np.pi, np.pi, m)))
+                assert np.abs(reconstruct(plan) - dense_product(plan)).max() < 1e-13
 
     def test_single_splitter_block(self):
         theta, phi = 0.3, -1.1

@@ -264,6 +264,9 @@ class TestApproximateCommand:
 
     @pytest.mark.parametrize("option,value", [
         ("--starts", "0"), ("--tol", "0"), ("--max-iter", "0"), ("--cluster-tol", "0"),
+        # a non-finite tolerance would converge every start at step 0, or
+        # put every start into one cluster
+        ("--tol", "inf"), ("--tol", "nan"), ("--cluster-tol", "inf"),
     ])
     def test_bad_run_option_exits_1(self, tmp_path, capsys, qft3_file, option, value):
         out = tmp_path / "report.json"

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from optiq import fock
+from optiq.approx import haar_random
 from optiq.errors import (DimensionOverflowError, InvalidOrderingError,
                           UnknownStateError)
 from optiq.fock import FockBasis, dimension, enumerate_basis
@@ -92,12 +94,24 @@ def test_state_entries_are_checked_by_type():
     assert enumerate_basis(np.int64(3), np.int64(2)) == enumerate_basis(3, 2)
 
 
-def test_enumerate_dimension_cap():
+def test_enumerate_dimension_cap(monkeypatch):
     with pytest.raises(DimensionOverflowError):
         enumerate_basis(30, 30)
+    # the cap is read at each call, not bound when the module loads
+    monkeypatch.setattr(fock, "MAX_DIMENSION", 5)
     with pytest.raises(DimensionOverflowError):
-        enumerate_basis(3, 2, max_dim=5)
-    assert len(enumerate_basis(3, 2, max_dim=6)) == 6
+        enumerate_basis(3, 2)
+    monkeypatch.setattr(fock, "MAX_DIMENSION", 6)
+    assert len(enumerate_basis(3, 2)) == 6
+
+
+def test_lift_of_a_basis_past_the_cap(monkeypatch):
+    # a basis built directly is not capped, and neither are the lower photon
+    # levels its lift builds (6 states at two photons here)
+    basis, S = enumerate_basis(3, 3), haar_random(3, 4)
+    want = evolution_matrix(S, basis)
+    monkeypatch.setattr(fock, "MAX_DIMENSION", 5)
+    assert np.array_equal(evolution_matrix(S, FockBasis(3, 3, basis.states)), want)
 
 
 def test_enumerate_many_modes():

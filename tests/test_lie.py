@@ -241,6 +241,14 @@ class TestPrincipalLog:
                            (np.array([0.0, 0.0, 0.0, -np.inf]), ValueError)]:
             with pytest.raises(error, match="shifts"):
                 principal_log(U, bad)
+        # a stack in which every matrix takes the mid-gap pass, stacked
+        wide = np.array([near_first_pole(offset, True)[0] for offset in (1e-3, -2e-3, 5e-3)])
+        passes.clear()
+        got = principal_log(wide)
+        assert [shape[0] for shape, _ in passes] == [3, 3]
+        for i in range(len(wide)):
+            assert np.array_equal(got[i], principal_log(wide[i]))
+            assert np.max(np.abs(got[i] - schur_log(wide[i]))) < 1e-12
 
     def test_stack_names_non_unitary_member(self):
         from optiq.errors import UnitarityError
