@@ -16,7 +16,7 @@ from .errors import (DimensionOverflowError, InternalConsistencyError,
                      OptiqError, RankDeficiencyError, ShapeError,
                      UnitarityError, UnknownStateError)
 from .fock import FockBasis, dimension, enumerate_basis
-from .homomorphism import evolution_matrix, second_quantize
+from .homomorphism import evolution_matrix
 from .lie import (ImageBasis, build_image_basis, distance, matrix_exp,
                   polar_unitary, principal_log, project,
                   unitary_algebra_generators)
@@ -32,6 +32,5 @@ __all__ = [
     "derive_seed", "dimension", "distance", "enumerate_basis",
     "evolution_matrix", "fidelity_bound", "haar_random", "matrix_exp",
     "multi_start", "polar_unitary",
-    "principal_log", "project", "reconstruct", "second_quantize",
-    "unitary_algebra_generators",
+    "principal_log", "project", "reconstruct", "unitary_algebra_generators",
 ]

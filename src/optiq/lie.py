@@ -73,23 +73,20 @@ def _dagger(A):
     return A.conj().swapaxes(-1, -2)
 
 
-def _cayley_eigh(U, alpha):
-    """Eigenpairs of H = i(s - U)(s + U)^{-1}, s = e^{i alpha}, from one LU
-    solve and one ``eigh`` per matrix of the stack U; this is the Cayley
-    transform of e^{-i alpha} U. ``alpha`` holds one shift per matrix."""
-    s = np.exp(1j * alpha)[:, None, None] * np.eye(U.shape[-1])
-    return np.linalg.eigh(np.linalg.solve(s + U, 1j * (s - U)))
-
-
 def _cayley_pass(U, alpha):
-    """:func:`_cayley_eigh` of a stack U at its per-matrix shifts alpha,
-    with NaN tangents for each matrix whose solve is exactly singular
-    (LAPACK then fails the whole stack)."""
+    """Eigenvectors of H = i(s - U)(s + U)^{-1}, s = e^{i alpha}, the Cayley
+    transform of e^{-i alpha} U, from one LU solve and one ``eigh`` per
+    matrix of the stack U at its shifts alpha. Returns ``(worst, Q)``: each
+    matrix's largest |tan| (eigenvalue of H) and its eigenvectors. A matrix
+    whose solve is exactly singular (LAPACK then fails the whole stack, so
+    it is split per matrix) reads worst NaN and Q zero."""
+    s = np.exp(1j * alpha)[:, None, None] * np.eye(U.shape[-1])
     try:
-        return _cayley_eigh(U, alpha)
+        tans, Q = np.linalg.eigh(np.linalg.solve(s + U, 1j * (s - U)))
+        return np.abs(tans).max(axis=-1), Q
     except np.linalg.LinAlgError:
         if len(U) == 1:
-            return np.full(U.shape[:-1], np.nan), np.zeros_like(U)
+            return np.full(1, np.nan), np.zeros_like(U)
     each = (_cayley_pass(U[i:i + 1], alpha[i:i + 1]) for i in range(len(U)))
     return tuple(map(np.concatenate, zip(*each)))
 
@@ -159,19 +156,17 @@ def principal_log(U, shifts=None) -> np.ndarray:
         raise ValueError("shifts must be finite")
     flat = U.reshape((-1,) + U.shape[-2:])
     first = shifts.reshape(-1).copy()
-    tans, Q = _cayley_pass(flat, first)
-    worst = np.abs(tans).max(axis=-1)
+    worst, Q = _cayley_pass(flat, first)
     k = 0
     while not (worst <= CAYLEY_POLE_BOUND).all():  # also NaN
         k += 1
         retry = np.flatnonzero(~(worst <= CAYLEY_POLE_BOUND))
-        tans, Q[retry] = _cayley_pass(flat[retry], first[retry] + k)
-        worst[retry] = np.abs(tans).max(axis=-1)
+        worst[retry], Q[retry] = _cayley_pass(flat[retry], first[retry] + k)
     theta = _eigen_angles(flat, Q)
     wide = np.flatnonzero(worst > CAYLEY_BOUND)
     if wide.size:
         U_wide = flat[wide]
-        _, Q_wide = _cayley_eigh(U_wide, _mid_gap(theta[wide]))
+        _, Q_wide = _cayley_pass(U_wide, _mid_gap(theta[wide]))
         Q[wide], theta[wide] = Q_wide, _eigen_angles(U_wide, Q_wide)
     shifts[...] = _mid_gap(theta).reshape(shifts.shape)
     Q_h = _dagger(Q)  # a copy, taken before Q is scaled in place

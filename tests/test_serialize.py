@@ -326,3 +326,51 @@ class TestCanonicalWriter:
         serialize.save_json(path, self.OBJ)
         assert path.read_text(encoding="utf-8") == serialize.dumps_canonical(self.OBJ)
         assert taken.read_bytes() == b""
+
+    def test_unreadable_destination_is_written_in_place(self, tmp_path, monkeypatch):
+        # lstat fails with an error other than a missing name: the file is
+        # opened as given, as a plain write would open it
+        path = tmp_path / "obj.json"
+        path.write_bytes(b"earlier\n")
+        inode, lstat = path.stat().st_ino, os.lstat
+
+        def denied(name, *args, **kwargs):
+            if os.fspath(name) == str(path):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(name))
+            return lstat(name, *args, **kwargs)
+
+        monkeypatch.setattr(serialize.os, "lstat", denied)
+        serialize.save_json(path, self.OBJ)
+        assert path.read_text(encoding="utf-8") == serialize.dumps_canonical(self.OBJ)
+        assert path.stat().st_ino == inode
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_unopenable_sibling_falls_back_to_writing_in_place(self, tmp_path, monkeypatch):
+        path = tmp_path / "obj.json"
+        path.write_bytes(b"earlier\n")
+        inode = path.stat().st_ino
+
+        def no_sibling(name, mode="r", *args, **kwargs):
+            if mode == "x":
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(name))
+            return open(name, mode, *args, **kwargs)
+
+        monkeypatch.setattr(serialize, "open", no_sibling, raising=False)
+        serialize.save_json(path, self.OBJ)
+        assert path.read_text(encoding="utf-8") == serialize.dumps_canonical(self.OBJ)
+        assert path.stat().st_ino == inode
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_busy_destination_keeps_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "obj.json"
+        path.write_bytes(b"earlier\n")
+
+        def busy(src, dst):
+            raise OSError(errno.EBUSY, os.strerror(errno.EBUSY), str(src), None, str(dst))
+
+        monkeypatch.setattr(serialize.os, "replace", busy)
+        with pytest.raises(OSError) as exc:
+            serialize.save_json(path, self.OBJ)
+        assert str(exc.value) == f"[Errno 16] {os.strerror(errno.EBUSY)}: '{path}'"
+        assert path.read_bytes() == b"earlier\n"
+        assert list(tmp_path.iterdir()) == [path]
