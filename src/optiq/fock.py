@@ -19,7 +19,7 @@ from .validate import require_int
 DEFAULT_ORDERING = "lex_desc"
 
 #: Dense M x M storage becomes impractical past this point. Only
-#: :func:`enumerate_basis` reads it, at each call.
+#: :func:`enumerate_basis` reads it, at each call, without sizing a larger basis.
 MAX_DIMENSION = 20_000
 
 
@@ -118,7 +118,7 @@ class FockBasis:
 def enumerate_basis(m: int, n: int,
                     ordering: str | Sequence[Sequence[int]] = DEFAULT_ORDERING) -> FockBasis:
     """Enumerate the full n-photon basis on m modes in the requested order;
-    more than MAX_DIMENSION states raise DimensionOverflowError.
+    over MAX_DIMENSION states, raise DimensionOverflowError without sizing it.
 
     Args:
         m: number of modes, at least 1.
@@ -131,10 +131,11 @@ def enumerate_basis(m: int, n: int,
         raise ValueError(f"mode count must be >= 1, got {m}")
     if n < 1:
         raise ValueError(f"photon number must be >= 1, got {n}")
-    M = dimension(m, n)
-    if M > MAX_DIMENSION:
+    # C(m + n - 1, i) rises up to i = min(n, m - 1), the dimension, and is at
+    # least 2^i: i capped at the cap's bit length exceeds the cap or is exact
+    if math.comb(m + n - 1, min(n, m - 1, MAX_DIMENSION.bit_length())) > MAX_DIMENSION:
         raise DimensionOverflowError(
-            f"basis dimension {M} exceeds the dense-storage cap {MAX_DIMENSION}")
+            f"dimension(m={m}, n={n}) exceeds the dense-storage cap {MAX_DIMENSION}")
     if isinstance(ordering, str):
         if ordering.replace("-", "_") != DEFAULT_ORDERING:
             raise InvalidOrderingError(f"unknown ordering tag {ordering!r}")

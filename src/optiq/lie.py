@@ -76,27 +76,24 @@ def _dagger(A):
 def _cayley_pass(U, alpha):
     """Eigenvectors of H = i(s - U)(s + U)^{-1}, s = e^{i alpha}, the Cayley
     transform of e^{-i alpha} U, from one LU solve and one ``eigh`` per
-    matrix of the stack U at its shifts alpha. Returns ``(worst, Q)``: each
-    matrix's largest |tan| (eigenvalue of H) and its eigenvectors. A matrix
+    matrix of the stack U at its shifts alpha. Returns ``(worst, Q, theta)``:
+    each matrix's largest |tan| (eigenvalue of H), its eigenvectors, and the
+    angles of diag(Q† U Q) in (-pi, pi], an exact -1 read as +pi. A matrix
     whose solve is exactly singular (LAPACK then fails the whole stack, so
-    it is split per matrix) reads worst NaN and Q zero."""
+    it is split per matrix) reads worst NaN, Q zero and theta zero."""
     s = np.exp(1j * alpha)[:, None, None] * np.eye(U.shape[-1])
     try:
         tans, Q = np.linalg.eigh(np.linalg.solve(s + U, 1j * (s - U)))
-        return np.abs(tans).max(axis=-1), Q
     except np.linalg.LinAlgError:
         if len(U) == 1:
-            return np.full(1, np.nan), np.zeros_like(U)
-    each = (_cayley_pass(U[i:i + 1], alpha[i:i + 1]) for i in range(len(U)))
-    return tuple(map(np.concatenate, zip(*each)))
-
-
-def _eigen_angles(U, Q):
-    """Angles of diag(Q† U Q) in (-pi, pi]; an exact -1 maps to +pi."""
+            return np.full(1, np.nan), np.zeros_like(U), np.zeros(U.shape[:-1])
+        each = (_cayley_pass(U[i:i + 1], alpha[i:i + 1]) for i in range(len(U)))
+        return tuple(map(np.concatenate, zip(*each)))
     UQ = U @ Q
     z = np.multiply(Q.conj(), UQ, out=UQ).sum(axis=-2)
     # np.angle gives -pi for imaginary part -0.0
-    return np.where((z.imag == 0) & (z.real < 0), np.pi, np.angle(z))
+    return (np.abs(tans).max(axis=-1), Q,
+            np.where((z.imag == 0) & (z.real < 0), np.pi, np.angle(z)))
 
 
 def _mid_gap(theta):
@@ -156,18 +153,15 @@ def principal_log(U, shifts=None) -> np.ndarray:
         raise ValueError("shifts must be finite")
     flat = U.reshape((-1,) + U.shape[-2:])
     first = shifts.reshape(-1).copy()
-    worst, Q = _cayley_pass(flat, first)
+    worst, Q, theta = _cayley_pass(flat, first)
     k = 0
     while not (worst <= CAYLEY_POLE_BOUND).all():  # also NaN
         k += 1
         retry = np.flatnonzero(~(worst <= CAYLEY_POLE_BOUND))
-        worst[retry], Q[retry] = _cayley_pass(flat[retry], first[retry] + k)
-    theta = _eigen_angles(flat, Q)
+        worst[retry], Q[retry], theta[retry] = _cayley_pass(flat[retry], first[retry] + k)
     wide = np.flatnonzero(worst > CAYLEY_BOUND)
     if wide.size:
-        U_wide = flat[wide]
-        _, Q_wide = _cayley_pass(U_wide, _mid_gap(theta[wide]))
-        Q[wide], theta[wide] = Q_wide, _eigen_angles(U_wide, Q_wide)
+        _, Q[wide], theta[wide] = _cayley_pass(flat[wide], _mid_gap(theta[wide]))
     shifts[...] = _mid_gap(theta).reshape(shifts.shape)
     Q_h = _dagger(Q)  # a copy, taken before Q is scaled in place
     v = np.multiply(Q, (1j * theta)[:, None, :], out=Q) @ Q_h

@@ -589,6 +589,17 @@ class TestLiftCommand:
             "error: matrix entries must be square, got shape (2, 3)\n"
         assert not out.exists()
 
+    def test_huge_basis_exits_1_at_once(self, tmp_path, capsys):
+        src = tmp_path / "s.json"
+        serialize.save_matrix(src, np.eye(2))
+        out = tmp_path / "u.json"
+        assert run(["lift", str(src), "-m", "1000000", "-n", "1000000",
+                    "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: dimension(m=1000000, n=1000000) exceeds ")
+        assert not out.exists()
+
     def test_random_output_is_unitary(self, tmp_path):
         src = tmp_path / "s.json"
         out = tmp_path / "u.json"

@@ -105,6 +105,17 @@ def test_enumerate_dimension_cap(monkeypatch):
     assert len(enumerate_basis(3, 2)) == 6
 
 
+def test_huge_basis_refused_without_its_size():
+    # the dimension has about 12,000 digits at 20,000, too many to format,
+    # and takes seconds to compute at 10**6; neither is computed
+    for size in 20_000, 10**6:
+        with pytest.raises(DimensionOverflowError) as info:
+            enumerate_basis(size, size)
+        assert str(info.value) == (f"dimension(m={size}, n={size}) exceeds the "
+                                   f"dense-storage cap {fock.MAX_DIMENSION}")
+        assert len(str(info.value)) < 100
+
+
 def test_lift_of_a_basis_past_the_cap(monkeypatch):
     # a basis built directly is not capped, and neither are the lower photon
     # levels its lift builds (6 states at two photons here)

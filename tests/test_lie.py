@@ -187,9 +187,22 @@ class TestPrincipalLog:
             second_pole = -np.exp(1j * shifts[1])
             assert np.min(np.abs(phases - second_pole)) > 2 * np.sin(np.pi / 20)
 
-    def test_exact_minus_one_maps_to_plus_pi(self):
+    def test_exact_minus_one_maps_to_plus_pi(self, monkeypatch):
         U = np.diag([-1.0, np.exp(0.4j), np.exp(-1.1j)])
         assert principal_log(U)[0, 0] == pytest.approx(1j * np.pi, abs=1e-15)
+        # each pass reads its own angles: an exact -1 is +pi in a retry (the
+        # first solve is exactly singular) and in a mid-gap pass (|tan| ~ 2000)
+        passes = record_cayley_passes(monkeypatch)
+        shift = lie.CAYLEY_SHIFT
+        for U, second in [(np.diag([-1, -np.exp(1j * shift), np.exp(0.2j)]), shift + 1),
+                          (np.diag([-1, np.exp(1j * (shift - np.pi + 1e-3)), np.exp(0.2j)]),
+                           pytest.approx((0.2 + np.pi) / 2 - np.pi, abs=1e-12))]:
+            for stack in U, np.array([U, np.eye(3)]):
+                passes.clear()
+                v = principal_log(stack).reshape(-1, 3, 3)
+                assert v[0, 0, 0] == 1j * np.pi
+                assert passes[0][1].tolist() == [shift] * len(v)
+                assert passes[-1][0] == (1, 3, 3) and passes[-1][1].tolist() == [second]
         # a swap has eigenvectors (1, -1)/sqrt(2); the -1 it reads is real
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         want = 0.5j * np.pi * np.array([[1, -1], [-1, 1]])
